@@ -2,7 +2,8 @@
 
 The paper's fig-10 shows startup latency degrading as schedule load
 approaches capacity under first-fit slot claiming.  This benchmark
-compares the three pluggable placement policies under the bench
+compares the two placement policies (which queued request a cub
+serves at its ownership instant) under the bench
 ``placement`` tier's scenario — 95% schedule load, VCR churn, and a
 mid-run controller failover whose client retries land requests at the
 cubs in retry-phase order rather than request-age order — and asserts

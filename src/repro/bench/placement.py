@@ -3,9 +3,8 @@
 Runs the same 95%-load VCR-churn scenario — with a mid-run controller
 failover, which is when client retries against the backup land
 requests in retry-phase order rather than request-age order — once per
-placement policy (``first-fit``, ``deadline-greedy``,
-``load-spread``) on one seeded trace, and reports per-policy startup
-latency (p50/p99/max, *including* censored still-waiting starts) and
+placement policy (``first-fit``, ``deadline-greedy``) on one seeded
+trace, and reports per-policy startup latency (p50/p99/max, *including* censored still-waiting starts) and
 block loss.
 
 The scenario is built so the policy comparison is causal, not
@@ -37,7 +36,6 @@ from typing import Any, Dict, List
 
 from repro.config import PLACEMENT_POLICIES, small_config
 from repro.core.tiger import TigerSystem
-from repro.obs.registry import snapshot_total
 from repro.sim.rng import RngRegistry
 
 
@@ -52,7 +50,6 @@ class PolicyOutcome:
     p99_ms: int
     max_ms: int
     loss_blocks: int
-    deferrals: int
     events: int
     sim_seconds: float
 
@@ -63,7 +60,6 @@ class PolicyOutcome:
             f"max {self.max_ms / 1000.0:6.2f}s  "
             f"loss {self.loss_blocks:>4d}  "
             f"pending {self.censored:>2d}  "
-            f"deferrals {self.deferrals:>3d}  "
             f"({self.streams} starts)"
         )
 
@@ -186,9 +182,6 @@ def run_policy_scenario(
             censored += 1
         latencies_s.append(latency)
 
-    snapshot = system.export_metrics().snapshot()
-    deferrals = int(snapshot_total(snapshot, "placement.deferrals"))
-
     return PolicyOutcome(
         policy=policy,
         streams=len(latencies_s),
@@ -197,7 +190,6 @@ def run_policy_scenario(
         p99_ms=int(round(_percentile(latencies_s, 0.99) * 1000)),
         max_ms=int(round(max(latencies_s) * 1000)),
         loss_blocks=int(loss),
-        deferrals=deferrals,
         events=system.sim.events_dispatched,
         sim_seconds=now,
     )
@@ -237,7 +229,6 @@ def run_placement_workload(
         counters[f"placement.{tag}_p99_ms"] = outcome.p99_ms
         counters[f"placement.{tag}_max_ms"] = outcome.max_ms
         counters[f"placement.{tag}_loss_blocks"] = outcome.loss_blocks
-        counters[f"placement.{tag}_deferrals"] = outcome.deferrals
     counters["placement.dg_beats_ff"] = dg_beats_ff
 
     result = _base_result(

@@ -693,7 +693,8 @@ def build_parser() -> argparse.ArgumentParser:
             default="first-fit", metavar="POLICY",
             help="slot-placement policy: "
                  f"{', '.join(PLACEMENT_POLICIES)} "
-                 "(first-fit is the legacy behavior)")
+                 "(first-fit serves the queue head, deadline-greedy "
+                 "the oldest request)")
 
     def restripe_flags(sub):
         sub.add_argument(

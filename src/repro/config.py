@@ -21,10 +21,11 @@ from typing import Optional
 
 from repro.disk.model import DiskParameters, worst_case_streams_per_disk
 
-#: Slot-placement policies every admitter understands (see
-#: :mod:`repro.core.placement`).  ``first-fit`` is the historical
-#: behavior and the default.
-PLACEMENT_POLICIES = ("first-fit", "deadline-greedy", "load-spread")
+#: Slot-placement policies: which queued start a cub inserts into the
+#: free slot it owns (see ``Cub._place_viewer``).  ``first-fit`` serves
+#: the queue head and is the default; ``deadline-greedy`` serves the
+#: oldest request.
+PLACEMENT_POLICIES = ("first-fit", "deadline-greedy")
 
 
 @dataclass(frozen=True)
@@ -90,9 +91,8 @@ class TigerConfig:
     #: disables the guard, as the paper's experiments did.  Cubs enforce
     #: it from a purely local load estimate — no global state.
     admission_load_limit: Optional[float] = None
-    #: Slot-placement policy used by every admitter (one of
-    #: ``PLACEMENT_POLICIES``).  ``first-fit`` reproduces the
-    #: pre-policy behavior bit-for-bit.
+    #: Slot-placement policy the cubs use (one of
+    #: ``PLACEMENT_POLICIES``).
     placement: str = "first-fit"
 
     # ------------------------------------------------------------------

@@ -42,11 +42,6 @@ from repro.core.protocol import (
     StartRequest,
     ViewerStateBatch,
 )
-from repro.core.placement import (
-    SlotCandidate,
-    make_placement_policy,
-    neighbor_offsets,
-)
 from repro.core.protocol import CancelStart as _CancelStart
 from repro.core.schedule import GlobalSchedule, SlotConflictError
 from repro.core.slots import SlotClock
@@ -219,11 +214,6 @@ class Cub(NetworkNode):
         #: Sliding window of recent block sends for the local schedule-
         #: load estimate behind the admission guard.
         self._recent_send_times: Deque[float] = deque()
-        #: When each queued start instance first reached an ownership
-        #: instant — patience for deferring policies counts from here,
-        #: not from the client's request time, so a long admission
-        #: queue does not eat the policy's whole deferral budget.
-        self._first_considered: Dict[int, float] = {}
 
         # Counters registered as per-cub metric series (the registry
         # handles subclass the plain stats counters, so increments cost
@@ -302,13 +292,6 @@ class Cub(NetworkNode):
             help="Migration-map cutovers applied from restripe commits",
             unit="moves", cub=cub_id)
 
-        #: Slot-placement policy for this cub's ownership instants.
-        #: Policies are stateless; every cub shares the same registry
-        #: series, so the placement.* metrics aggregate system-wide.
-        self._placement = make_placement_policy(
-            config.placement, self.registry
-        )
-
         self._started = False
 
     # ==================================================================
@@ -371,7 +354,6 @@ class Cub(NetworkNode):
         self._pending_service.clear()
         self._aborted_service.clear()
         self._recent_send_times.clear()
-        self._first_considered.clear()
         # Unacknowledged restripe writes are presumed lost with the
         # crash; the restriper's retry re-creates them.  Committed
         # migrations persist — they model on-disk placement metadata,
@@ -1230,7 +1212,6 @@ class Cub(NetworkNode):
         self._remove_queued_instance(cancel.instance)
 
     def _remove_queued_instance(self, instance: int) -> None:
-        self._first_considered.pop(instance, None)
         for disk_id, queue in self._wait_queues.items():
             filtered = deque(
                 request for request in queue if request.instance != instance
@@ -1302,79 +1283,28 @@ class Cub(NetworkNode):
     def _place_viewer(
         self, queue: Deque[StartRequest], disk_id: int, slot: int, visit: float
     ) -> None:
-        """Let the placement policy pick the request and the visit.
+        """Insert one queued request into the owned (slot, visit).
 
-        The policy sees the free (slot, visit) the cub owns right now
-        as rank 0 plus, for look-ahead policies, this disk's next free
-        visits; choosing rank > 0 defers the insert to a later
-        ownership instant (the scan re-arms one slot period later), so
-        every insert still happens at its own ownership instant.
+        The slot is fixed — it is the free one this cub owns right now —
+        so the placement policy only picks *which* request gets it.
+        ``first-fit`` serves the queue head (the caller has already
+        dropped cancelled heads).  ``deadline-greedy`` serves the
+        request nearest its ERROR state: the oldest ``request_time``,
+        ties staying FIFO.  Arrival order and request age diverge after
+        asymmetric routing delays — a start retried against the backup
+        controller after a failover lands behind younger post-takeover
+        starts — and oldest-first repairs that inversion.
         """
-        policy = self._placement
-        eligible = [
-            request
-            for request in queue
-            if request.instance not in self._cancelled_instances
-        ]
-        if not eligible:
-            return
-        request = eligible[policy.select_request(eligible, self.sim.now)]
-        candidates = self._placement_candidates(disk_id, slot, visit)
-        first_seen = self._first_considered.setdefault(
-            request.instance, self.sim.now
-        )
-        waited = max(0.0, self.sim.now - first_seen)
-        chosen = policy.choose(
-            candidates, waited=waited, patience=self.config.block_play_time
-        )
-        if chosen is None or chosen.rank > 0:
-            policy.record_deferral()
-            return
-        self._first_considered.pop(request.instance, None)
+        request = queue[0]
+        if self.config.placement == "deadline-greedy":
+            for queued in queue:
+                if (
+                    queued.request_time < request.request_time - 1e-12
+                    and queued.instance not in self._cancelled_instances
+                ):
+                    request = queued
         queue.remove(request)
         self._insert_viewer(request, disk_id, slot, visit)
-
-    def _placement_candidates(
-        self, disk_id: int, slot: int, visit: float
-    ) -> List[SlotCandidate]:
-        """The free visits of ``disk_id`` a policy may rank, soonest
-        first.  Rank 0 is the owned (slot, visit) — the legacy choice —
-        and is always free when this is called."""
-        policy = self._placement
-
-        def candidate(c_slot: int, c_visit: float, c_rank: int) -> SlotCandidate:
-            return SlotCandidate(
-                c_slot,
-                c_visit,
-                c_rank,
-                self._slot_crowding(c_slot, c_visit)
-                if policy.needs_crowding
-                else 0.0,
-            )
-
-        candidates = [candidate(slot, visit, 0)]
-        if policy.lookahead > 1:
-            service_time = self.clock.block_service_time
-            num_slots = self.clock.num_slots
-            for step in range(1, policy.lookahead):
-                later_slot = (slot + step) % num_slots
-                later_visit = visit + step * service_time
-                if self.view.occupied_at(later_slot, later_visit):
-                    continue
-                candidates.append(candidate(later_slot, later_visit, step))
-        return candidates
-
-    def _slot_crowding(self, slot: int, visit: float) -> float:
-        """Occupied slots this disk services adjacently to ``slot`` —
-        the consecutive-service pressure load-spread penalizes."""
-        service_time = self.clock.block_service_time
-        num_slots = self.clock.num_slots
-        count = 0
-        for delta in neighbor_offsets():
-            neighbor = (slot + delta) % num_slots
-            if self.view.occupied_at(neighbor, visit + delta * service_time):
-                count += 1
-        return float(count)
 
     def _insert_viewer(
         self, request: StartRequest, disk_id: int, slot: int, visit: float

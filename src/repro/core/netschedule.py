@@ -238,8 +238,7 @@ class NetworkSchedule:
         """Up to ``limit`` feasible start positions in the same scan
         order :meth:`find_offset` uses (soonest-after-``after`` first).
 
-        This is the candidate enumeration for pluggable placement:
-        index 0 is exactly what :meth:`find_offset` returns.
+        Index 0 is exactly what :meth:`find_offset` returns.
         """
         after %= self.length
         if quantum is not None:

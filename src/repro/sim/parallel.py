@@ -1,24 +1,15 @@
 """Multiprocessing execution for partitioned simulations.
 
-Two layers live here, both generic over what the shards simulate:
+:func:`run_group_pool` executes independent simulation groups on a
+pool of ``spawn`` workers (the scale-bench decomposition: one Tiger
+cub-group subsystem per worker task, merged afterwards with
+:func:`repro.obs.registry.merge_snapshots`); :func:`derive_seed` gives
+each group its own seed.
 
-* :func:`run_group_pool` — execute independent simulation groups on a
-  pool of ``spawn`` workers (the scale-bench decomposition: one Tiger
-  cub-group subsystem per worker task, merged afterwards with
-  :func:`repro.obs.registry.merge_snapshots`).
-* :func:`run_null_message_ring` — a conservative (Chandy-Misra-Bryant)
-  synchronization engine over real OS pipes: each worker owns a
-  :class:`~repro.sim.core.Simulator` and advances only as far as its
-  predecessor's channel clock allows, exchanging timestamped events and
-  **null messages** across process boundaries.  This is the
-  cross-process form of the in-process boundary channels in
-  :mod:`repro.sim.shard`, and the staging ground for running whole
-  shard lanes in separate processes.
-
-``spawn`` (not ``fork``) is used throughout: a spawned worker boots a
-fresh interpreter, so module-global sequence counters (event seq,
-message ids, viewer-state instance ids) start from zero in every
-worker and a group run is a pure function of its spec — the same
+``spawn`` (not ``fork``) is used: a spawned worker boots a fresh
+interpreter, so module-global sequence counters (event seq, message
+ids, viewer-state instance ids) start from zero in every worker and a
+group run is a pure function of its spec — the same
 property that makes the single-process kernel deterministic.
 """
 
@@ -28,9 +19,7 @@ import hashlib
 import importlib
 import multiprocessing
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Sequence, Tuple
-
-from repro.sim.core import Simulator
+from typing import Any, Callable, List, Sequence, Tuple
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -84,156 +73,3 @@ def run_group_pool(
         results = pool.map(worker, list(specs), chunksize=1)
         wall = perf_counter() - started
     return results, wall
-
-
-# ----------------------------------------------------------------------
-# Cross-process conservative synchronization (null-message ring)
-# ----------------------------------------------------------------------
-def _ring_worker(
-    index: int,
-    num_shards: int,
-    lookahead: float,
-    until: float,
-    tick: float,
-    token_hops: int,
-    in_conn: Any,
-    out_conn: Any,
-    results: Any,
-) -> None:
-    """One shard of the null-message ring.
-
-    Owns a private :class:`Simulator` with a local tick train, receives
-    timestamped token events from its ring predecessor, and forwards
-    the token to its successor with a lookahead-safe arrival.  The
-    conservative rule: dispatch a local event only when its time is
-    covered by the predecessor's channel clock; when blocked, promise
-    progress to the successor (a null message carrying
-    ``min(next local event, channel clock) + lookahead``).
-    """
-    sim = Simulator()
-    stats: Dict[str, Any] = {
-        "index": index,
-        "tokens": 0,
-        "nulls_sent": 0,
-        "events_sent": 0,
-        "received": 0,
-    }
-    in_clock = 0.0
-    out_promise = 0.0
-
-    def send_event(arrival: float, hops: int) -> None:
-        nonlocal out_promise
-        promise = sim.now + lookahead
-        out_conn.send(("evt", promise, (arrival, hops)))
-        stats["events_sent"] += 1
-        if promise > out_promise:
-            out_promise = promise
-
-    def on_token(hops: int) -> None:
-        stats["tokens"] += 1
-        arrival = sim.now + 2.0 * lookahead
-        if hops > 0 and arrival <= until:
-            # Strictly beyond the promise accompanying it: the receiver
-            # can never have advanced past the arrival when it lands.
-            send_event(arrival, hops - 1)
-
-    steps = int(until / tick)
-    for step_index in range(1, steps + 1):
-        sim.call_at(step_index * tick, lambda: None)
-    if index == 0:
-        sim.call_at(tick / 2.0, on_token, token_hops)
-
-    while True:
-        while in_conn.poll(0):
-            kind, clock, payload = in_conn.recv()
-            if clock > in_clock:
-                in_clock = clock
-            if kind == "evt":
-                arrival, hops = payload
-                sim.call_at(arrival, on_token, hops)
-                stats["received"] += 1
-        next_time = sim.peek_time()
-        if next_time is not None and next_time <= min(in_clock, until):
-            sim.step()
-            continue
-        # Blocked (or idle): promise progress so the successor never
-        # deadlocks on a silent predecessor.
-        local_bound = next_time if next_time is not None else until
-        promise = min(local_bound, in_clock, until) + lookahead
-        if promise > out_promise:
-            out_conn.send(("null", promise, None))
-            out_promise = promise
-            stats["nulls_sent"] += 1
-        if in_clock >= until and (next_time is None or next_time > until):
-            break
-        in_conn.poll(0.5)
-
-    stats["events"] = sim.events_dispatched
-    stats["final_now"] = sim.now
-    results.put(stats)
-
-
-def run_null_message_ring(
-    num_shards: int = 4,
-    lookahead: float = 0.05,
-    until: float = 2.0,
-    tick: float = 0.05,
-    token_hops: int = 12,
-    timeout_s: float = 60.0,
-) -> List[Dict[str, Any]]:
-    """Run a ring of shard processes synchronized by null messages.
-
-    Worker 0 injects a token that circulates the ring ``token_hops``
-    times (or until the horizon); every worker also runs a local tick
-    train, so the conservative rule is exercised with both cross-shard
-    payload and pure clock advancement.
-
-    Determinism scope: every *simulation-visible* field (``events``,
-    ``tokens``, ``events_sent``, ``received``, ``final_now``) is a pure
-    function of the parameters — the conservative rule guarantees each
-    worker dispatches the same events at the same virtual times no
-    matter how the OS schedules the processes.  ``nulls_sent`` is
-    transport-level: how many promises a worker emits depends on how
-    many clock updates happen to batch per pipe drain, so it varies
-    between runs (it is bounded, and at least one null is required per
-    blocked wait, but the exact cadence is timing-dependent).
-
-    :returns: Per-worker stats sorted by shard index, each with
-        ``events``, ``tokens``, ``nulls_sent``, ``events_sent``,
-        ``received``, and ``final_now``.
-    """
-    if num_shards < 2:
-        raise ValueError("a ring needs at least 2 shards")
-    if lookahead <= 0 or tick <= 0 or until <= 0:
-        raise ValueError("lookahead, tick, and until must be positive")
-    context = multiprocessing.get_context("spawn")
-    results: Any = context.Queue()
-    # Pipe i carries shard i -> shard (i+1) % N.
-    pipes = [context.Pipe(duplex=False) for _ in range(num_shards)]
-    workers = []
-    for index in range(num_shards):
-        receive_end = pipes[(index - 1) % num_shards][0]
-        send_end = pipes[index][1]
-        worker = context.Process(
-            target=_ring_worker,
-            args=(
-                index,
-                num_shards,
-                lookahead,
-                until,
-                tick,
-                token_hops,
-                receive_end,
-                send_end,
-                results,
-            ),
-        )
-        worker.start()
-        workers.append(worker)
-    stats = [results.get(timeout=timeout_s) for _ in range(num_shards)]
-    for worker in workers:
-        worker.join(timeout=timeout_s)
-        if worker.is_alive():  # pragma: no cover - defensive
-            worker.terminate()
-            raise RuntimeError("ring worker failed to terminate")
-    return sorted(stats, key=lambda row: row["index"])

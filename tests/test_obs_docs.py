@@ -1,7 +1,8 @@
 """The instrumentation surface stays documented, loadable, and stable.
 
 * every trace category and metric family a fault-injected run emits
-  must be named (in backticks) in docs/OBSERVABILITY.md;
+  must be named (in backticks) in docs/OBSERVABILITY.md, and every
+  name a table there documents must still exist in the source;
 * ``python -m repro chaos --trace out.json`` must write a Chrome trace
   that ``json.load`` accepts and a trace viewer can open;
 * the Sphinx API docs must build warning-free (skipped when sphinx is
@@ -13,6 +14,7 @@ import importlib.util
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -30,6 +32,7 @@ from repro.workloads import ContinuousWorkload
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 OBSERVABILITY_MD = REPO_ROOT / "docs" / "OBSERVABILITY.md"
+SRC_ROOT = REPO_ROOT / "src" / "repro"
 
 #: The complete category inventory — call sites in src/repro must not
 #: invent names outside this list without documenting them.
@@ -121,6 +124,27 @@ class TestDocCoverage:
         doc = OBSERVABILITY_MD.read_text()
         missing = {c for c in ALL_CATEGORIES if f"`{c}`" not in doc}
         assert not missing
+
+    def test_documented_names_exist_in_source(self):
+        """The reverse direction: a metric family or trace category
+        named in the first column of a reference table must appear as
+        a string literal under src/repro, so deleted instrumentation
+        cannot leave stale rows behind."""
+        doc = OBSERVABILITY_MD.read_text()
+        documented = re.findall(r"^\| `([^`]+)` \|", doc, re.MULTILINE)
+        assert documented, "no table rows found in docs/OBSERVABILITY.md"
+        source = "\n".join(
+            path.read_text() for path in SRC_ROOT.rglob("*.py")
+        )
+        stale = {
+            name
+            for name in documented
+            if f'"{name}"' not in source and f"'{name}'" not in source
+        }
+        assert not stale, (
+            f"docs/OBSERVABILITY.md documents names no longer in "
+            f"src/repro: {sorted(stale)}"
+        )
 
     def test_emitted_categories_are_in_known_inventory(self, chaos_run):
         tracer, _ = chaos_run

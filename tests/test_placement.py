@@ -1,9 +1,10 @@
 """Slot-placement policies and the slot-machinery bugfix sweep.
 
-Covers the `PlacementPolicy` contract (`repro/core/placement.py`) —
-policies only ever claim free slots, first-fit is bit-identical to the
-historical behavior, and the three policies diverge deterministically —
-plus regressions for the bugs fixed alongside the refactor:
+Covers request order at the cub's ownership instant — the cub always
+inserts into the free slot it owns; ``first-fit`` serves the queue
+head, ``deadline-greedy`` the oldest request (ties FIFO) — the
+first-fit chaos fingerprints, the two-policy counter differential,
+plus regressions for the bugs fixed alongside the policies:
 
 * a stale ``stop_viewer`` keyed by slot must not evict a later start
   that reused the slot (centralized baseline);
@@ -20,21 +21,14 @@ plus regressions for the bugs fixed alongside the refactor:
 from __future__ import annotations
 
 import dataclasses
+from collections import deque
 
 import pytest
 
 from repro import TigerSystem, small_config
 from repro.config import PLACEMENT_POLICIES
 from repro.core.netschedule import NetworkSchedule
-from repro.core.placement import (
-    DeadlineGreedyPolicy,
-    FirstFitPolicy,
-    LoadSpreadPolicy,
-    SlotCandidate,
-    make_placement_policy,
-    neighbor_offsets,
-    ring_crowding,
-)
+from repro.core.protocol import StartRequest
 from repro.faults import ChaosHarness, standard_chaos_plan
 from repro.obs.registry import snapshot_total
 from repro.sim.rng import RngRegistry
@@ -63,95 +57,66 @@ FIRST_FIT_BASELINE_FINGERPRINTS = {
 
 
 # ======================================================================
-# Policy contract units
+# Request order at the ownership instant
 # ======================================================================
 
 
-class _Request:
-    def __init__(self, instance, request_time):
-        self.instance = instance
-        self.request_time = request_time
-
-
-def _random_candidates(rng, count):
-    return [
-        SlotCandidate(
-            slot=index,
-            visit=rng.uniform(0.0, 20.0),
-            rank=index,
-            crowding=float(rng.randrange(5)),
+def _serve_one(placement, request_times):
+    """Queue one start per ``request_times`` entry (in that arrival
+    order) on cub 0's first disk, fire one ownership instant, and
+    return (inserted instance, instances still queued)."""
+    system = TigerSystem(small_config(placement=placement), seed=5)
+    system.add_standard_content(num_files=2, duration_s=60.0)
+    cub = system.cubs[0]
+    disk_id = min(cub.disks)
+    queue = deque(
+        StartRequest(
+            viewer_id=f"client:0#{instance}",
+            instance=instance,
+            file_id=0,
+            first_block=0,
+            target_disk=disk_id,
+            request_time=request_time,
         )
-        for index in range(count)
-    ]
+        for instance, request_time in enumerate(request_times, start=1)
+    )
+    cub._wait_queues[disk_id] = queue
+    slot, visit = cub.clock.next_slot_visit(
+        disk_id, system.sim.now + system.config.scheduling_lead
+    )
+    assert not cub.view.occupied_at(slot, visit)
+    before = cub.inserts_performed.count
+    cub._ownership_instant(disk_id, slot, visit)
+    assert cub.inserts_performed.count == before + 1
+    remaining = [request.instance for request in queue]
+    (inserted,) = set(range(1, len(request_times) + 1)) - set(remaining)
+    return inserted, remaining
 
 
-class TestPolicyContract:
-    def test_factory_builds_every_policy(self):
+class TestRequestOrder:
+    def test_deadline_greedy_inserts_oldest_request(self):
+        # The older request (time 1.0) arrived second.
+        inserted, remaining = _serve_one("deadline-greedy", [5.0, 1.0])
+        assert inserted == 2
+        assert remaining == [1]
+
+    def test_first_fit_inserts_queue_head(self):
+        inserted, remaining = _serve_one("first-fit", [5.0, 1.0])
+        assert inserted == 1
+        assert remaining == [2]
+
+    def test_equal_request_times_stay_fifo(self):
+        for placement in PLACEMENT_POLICIES:
+            inserted, remaining = _serve_one(placement, [2.0, 2.0])
+            assert inserted == 1, placement
+            assert remaining == [2], placement
+
+    def test_config_accepts_every_policy(self):
         for name in PLACEMENT_POLICIES:
-            policy = make_placement_policy(name)
-            assert policy.name == name
-            assert policy.lookahead >= 1
-        with pytest.raises(ValueError):
-            make_placement_policy("best-fit")
-
-    @pytest.mark.parametrize("name", PLACEMENT_POLICIES)
-    def test_choose_returns_only_offered_candidates(self, name):
-        """Property: a policy may only pick among the free candidates
-        the admitter enumerated — it can never invent (or evict into)
-        a slot it was not offered."""
-        policy = make_placement_policy(name)
-        rng = RngRegistry(99).stream(f"candidates-{name}")
-        for trial in range(200):
-            candidates = _random_candidates(rng, 1 + rng.randrange(6))
-            chosen = policy.choose(candidates)
-            assert chosen in candidates
-        assert policy.choose([]) is None
-
-    @pytest.mark.parametrize("name", PLACEMENT_POLICIES)
-    def test_patience_degenerates_to_first_fit(self, name):
-        policy = make_placement_policy(name)
-        rng = RngRegistry(7).stream("patience")
-        candidates = _random_candidates(rng, 5)
-        chosen = policy.choose(candidates, waited=2.0, patience=1.0)
-        assert chosen == candidates[0]
-
-    def test_first_fit_always_rank_zero(self):
-        policy = FirstFitPolicy()
-        rng = RngRegistry(3).stream("ff")
-        for trial in range(50):
-            candidates = _random_candidates(rng, 1 + rng.randrange(6))
-            assert policy.choose(candidates) == candidates[0]
-
-    def test_deadline_greedy_serves_oldest_request(self):
-        policy = DeadlineGreedyPolicy()
-        requests = [_Request(1, 5.0), _Request(2, 1.5), _Request(3, 3.0)]
-        assert policy.select_request(requests, now=10.0) == 1
-        # FIFO on ties (within float tolerance): index 0 wins.
-        tied = [_Request(1, 2.0), _Request(2, 2.0)]
-        assert policy.select_request(tied, now=10.0) == 0
-        # Slot-wise it takes the soonest visit — first-fit's choice on
-        # a legacy-ordered list.
-        candidates = [
-            SlotCandidate(4, 1.0, 0),
-            SlotCandidate(9, 2.5, 1),
-        ]
-        assert policy._pick(candidates) == candidates[0]
-
-    def test_load_spread_prefers_uncrowded_slot(self):
-        policy = LoadSpreadPolicy()
-        candidates = [
-            SlotCandidate(0, 1.0, 0, crowding=3.0),
-            SlotCandidate(1, 2.0, 1, crowding=0.0),
-            SlotCandidate(2, 3.0, 2, crowding=0.0),
-        ]
-        # Least crowding wins; ties break toward the earlier rank.
-        assert policy._pick(candidates) == candidates[1]
-
-    def test_ring_crowding_counts_neighbors(self):
-        occupied = [True, False, True, False, False, False, True, True]
-        assert ring_crowding(occupied, 0) == 3.0  # slots 6, 7, 2
-        assert ring_crowding(occupied, 4) == 2.0  # slots 2, 6
-        assert neighbor_offsets() == [-2, -1, 1, 2]
+            assert small_config(placement=name).placement == name
+        for name in ("best-fit", "load-spread"):
+            with pytest.raises(ValueError):
+                small_config(placement=name)
 
 
 # ======================================================================
@@ -217,14 +182,13 @@ def _churn_counters(placement, seed):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_policy_differential_on_protocol_counters(seed):
-    """3-policy differential on the bench-gated protocol counters.
+    """Policy differential on the bench-gated protocol counters.
 
     Under VCR churn with no failover, cub wait queues stay in request-
-    time order, so deadline-greedy's EDF request selection is FIFO and
-    its lookahead-1 slot choice is first-fit's — the two must agree on
-    every counter.  Load-spread may defer inserts but must still run
-    the identical workload coherently (the `assert_invariants` inside
-    each run holds the no-double-booking oracle for every policy).
+    time order, so deadline-greedy's oldest-first request order is
+    FIFO — the two policies must agree on every counter (the
+    `assert_invariants` inside each run holds the no-double-booking
+    oracle for both).
     """
     counters = {
         policy: _churn_counters(policy, seed) for policy in PLACEMENT_POLICIES
@@ -453,10 +417,13 @@ class TestPlacementCli:
 
         parser = build_parser()
         for command in ("demo", "chaos", "bench", "cluster"):
-            args = parser.parse_args([command, "--placement", "load-spread"])
-            assert args.placement == "load-spread"
-        with pytest.raises(SystemExit):
-            parser.parse_args(["demo", "--placement", "best-fit"])
+            args = parser.parse_args(
+                [command, "--placement", "deadline-greedy"]
+            )
+            assert args.placement == "deadline-greedy"
+        for name in ("best-fit", "load-spread"):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["demo", "--placement", name])
 
     def test_demo_runs_with_deadline_greedy(self, capsys):
         from repro.cli import main

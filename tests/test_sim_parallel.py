@@ -1,17 +1,8 @@
-"""Multiprocessing layer: seed derivation, group pool, null-message ring.
-
-The ring tests spawn real OS processes connected by pipes, so they run
-a touch slower than the in-process shard tests — parameters are kept
-small (3 shards, 1 virtual second) to keep the suite quick.
-"""
+"""Multiprocessing layer: seed derivation and the group pool."""
 
 import pytest
 
-from repro.sim.parallel import (
-    derive_seed,
-    run_group_pool,
-    run_null_message_ring,
-)
+from repro.sim.parallel import derive_seed, run_group_pool
 
 
 # ----------------------------------------------------------------------
@@ -60,53 +51,3 @@ class TestRunGroupPool:
         serial, _ = run_group_pool(_square, [5, 6, 7, 8], 1)
         pooled, _ = run_group_pool(_square, [5, 6, 7, 8], 2)
         assert pooled == serial
-
-
-# ----------------------------------------------------------------------
-# Null-message ring
-# ----------------------------------------------------------------------
-def _sim_visible(stats):
-    """The deterministic projection of a worker's stats (the docstring
-    contract: everything except transport-level ``nulls_sent``)."""
-    return {
-        key: value
-        for key, value in stats.items()
-        if key != "nulls_sent"
-    }
-
-
-class TestNullMessageRing:
-    def test_validation(self):
-        with pytest.raises(ValueError, match="at least 2 shards"):
-            run_null_message_ring(num_shards=1)
-        with pytest.raises(ValueError, match="must be positive"):
-            run_null_message_ring(num_shards=2, lookahead=0.0)
-
-    def test_token_circulates_and_horizon_is_reached(self):
-        stats = run_null_message_ring(
-            num_shards=3, lookahead=0.05, until=1.0, tick=0.05,
-            token_hops=6,
-        )
-        assert [row["index"] for row in stats] == [0, 1, 2]
-        # Token injected with 6 remaining hops: 7 dispatches in all,
-        # and every forward crossed a process boundary.
-        assert sum(row["tokens"] for row in stats) == 7
-        assert sum(row["events_sent"] for row in stats) == 6
-        assert sum(row["received"] for row in stats) == 6
-        # Blocked waits promise progress: somebody sent null messages.
-        assert sum(row["nulls_sent"] for row in stats) > 0
-        # Every shard drained its tick train to the horizon.
-        for row in stats:
-            assert row["final_now"] == pytest.approx(1.0)
-            assert row["events"] >= int(1.0 / 0.05)
-
-    def test_simulation_visible_fields_are_deterministic(self):
-        kwargs = dict(
-            num_shards=3, lookahead=0.05, until=1.0, tick=0.05,
-            token_hops=6,
-        )
-        first = run_null_message_ring(**kwargs)
-        second = run_null_message_ring(**kwargs)
-        assert [_sim_visible(row) for row in first] == [
-            _sim_visible(row) for row in second
-        ]

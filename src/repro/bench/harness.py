@@ -13,7 +13,7 @@ writes machine-readable ``BENCH_<name>.json`` files:
 * ``scale`` — cub-count sweep (4 → 64 cubs at ~50% load), probing the
   §3.3 claim that per-cub work stays constant as the system grows.
 * ``live``  — wire-codec throughput over a seeded arrival-trace frame
-  mix (JSON vs binary), plus — full mode only — a real-socket cluster
+  mix, plus — full mode only — a real-socket cluster
   run whose noisy stats land in an ungated ``cluster`` section (see
   :mod:`repro.bench.live`).
 
@@ -760,15 +760,12 @@ def summary_lines(result: Dict[str, Any]) -> List[str]:
             f"{row['wall_s'] * 1e3:9.2f} ms ({mean_us:6.1f} us/call)"
         )
     for row in result.get("codecs", []):
-        line = (
+        out.append(
             f"         codec={row['codec']:<7s} {row['frames']:>7d} frames "
             f"{row['bytes'] / 1e6:7.2f} MB  "
             f"{row['frames_per_sec']:>10.0f} frames/s "
             f"({row['mean_frame_bytes']:.0f} B/frame)"
         )
-        if "speedup_vs_json" in row:
-            line += f"  {row['speedup_vs_json']:.2f}x vs json"
-        out.append(line)
     for experiment in result.get("experiments", []):
         for line in experiment.get("lines", []):
             out.append(f"         {line}")

@@ -6,15 +6,15 @@ Two layers, separated by what the baseline gate may touch:
   mix from a seeded :func:`repro.workloads.arrivals.open_loop_trace`
   (starts, acks, viewer-state gossip batches, whole-block data frames
   with real content fingerprints, fixed message ids) and push it
-  through encode + decode for each codec.  The *mix shape* — message
-  and byte counts per codec — is a pure function of the seed, so it
-  lands in the gated ``counters`` section; frames/sec is machine noise
-  and lands in ``perf`` under the usual tolerance.
+  through binary encode + decode.  The *mix shape* — message and byte
+  counts — is a pure function of the seed, so it lands in the gated
+  ``counters`` section; frames/sec is machine noise and lands in
+  ``perf`` under the usual tolerance.
 
 * **Real cluster run** (full mode only): boot an actual live cluster —
   :data:`LIVE_CLUSTER_VIEWERS` driver-hosted viewers, Zipf arrivals,
-  binary codec, sharded hubs — and record viewers admitted/sec, wire
-  frames per codec, and p99 block-service lateness into an *ungated*
+  sharded hubs — and record viewers admitted/sec, wire frames per
+  codec label, and p99 block-service lateness into an *ungated*
   ``cluster`` section (real sockets and OS scheduling make those
   numbers noisy by construction; they are for reading, not gating).
 """
@@ -131,27 +131,24 @@ def build_frame_mix(viewers: int, seed: int) -> List[Message]:
     return messages
 
 
-def measure_codec(
-    messages: List[Message], codec: str, repeats: int = 1
-) -> Dict[str, Any]:
+def measure_codec(messages: List[Message], repeats: int = 1) -> Dict[str, Any]:
     """Encode + decode the whole mix; best-of-``repeats`` rate."""
     total_bytes = 0
     best_wall = float("inf")
     for _ in range(max(1, repeats)):
         start = perf_counter()
-        blob = b"".join(encode_message(m, codec) for m in messages)
+        blob = b"".join(encode_message(m) for m in messages)
         decoded = FrameDecoder().feed_parsed(blob)
         wall = perf_counter() - start
         if len(decoded) != len(messages):
             raise RuntimeError(
-                f"codec {codec}: decoded {len(decoded)} of "
-                f"{len(messages)} frames"
+                f"decoded {len(decoded)} of {len(messages)} frames"
             )
         total_bytes = len(blob)
         best_wall = min(best_wall, wall)
     frames_per_sec = len(messages) / best_wall if best_wall > 0 else 0.0
     return {
-        "codec": codec,
+        "codec": CODEC_BINARY,
         "frames": len(messages),
         "bytes": total_bytes,
         "wall_s": round(best_wall, 4),
@@ -162,7 +159,7 @@ def measure_codec(
 
 
 def _run_live_cluster(seed: int) -> Dict[str, Any]:
-    """The real-socket leg: 1000 viewers, binary codec, Zipf arrivals."""
+    """The real-socket leg: 1000 viewers, Zipf arrivals."""
     from repro.live.cluster import ClusterScenario, run_cluster
     from repro.obs.registry import snapshot_total
 
@@ -171,7 +168,6 @@ def _run_live_cluster(seed: int) -> Dict[str, Any]:
         duration=LIVE_CLUSTER_DURATION_S,
         streams=LIVE_CLUSTER_VIEWERS,
         seed=seed,
-        codec=CODEC_BINARY,
         arrivals="zipf",
         hubs=LIVE_CLUSTER_HUBS,
     )
@@ -183,7 +179,6 @@ def _run_live_cluster(seed: int) -> Dict[str, Any]:
         "viewers": scenario.streams,
         "cubs": scenario.cubs,
         "hubs": scenario.hubs,
-        "codec": scenario.codec,
         "arrivals": scenario.arrivals,
         "duration_s": scenario.duration,
         "wall_s": round(report.wall_seconds, 1),
@@ -216,8 +211,8 @@ def run_live_workload(seed: int = 0, quick: bool = False) -> Dict[str, Any]:
     """Run the ``live`` tier; returns a BENCH result dict.
 
     The gated ``counters`` hold only mix-shape facts (message count,
-    bytes per codec) — deterministic for a given seed.  ``perf`` is the
-    binary codec's frames/sec, tolerance-gated like every other tier.
+    encoded bytes) — deterministic for a given seed.  ``perf`` is the
+    codec's frames/sec, tolerance-gated like every other tier.
     Full mode appends the ungated real-cluster section.
     """
     from repro.bench.harness import _base_result
@@ -225,11 +220,7 @@ def run_live_workload(seed: int = 0, quick: bool = False) -> Dict[str, Any]:
     viewers = LIVE_VIEWERS_QUICK if quick else LIVE_VIEWERS_FULL
     repeats = 1 if quick else LIVE_TIMING_REPEATS_FULL
     messages = build_frame_mix(viewers, seed)
-    json_row = measure_codec(messages, CODEC_JSON, repeats)
-    binary_row = measure_codec(messages, CODEC_BINARY, repeats)
-    binary_row["speedup_vs_json"] = round(
-        binary_row["frames_per_sec"] / json_row["frames_per_sec"], 2
-    ) if json_row["frames_per_sec"] else 0.0
+    row = measure_codec(messages, repeats)
 
     result = _base_result(
         "live",
@@ -245,17 +236,16 @@ def run_live_workload(seed: int = 0, quick: bool = False) -> Dict[str, Any]:
     )
     result["counters"] = {
         "live.codec_messages": len(messages),
-        "live.codec_bytes_json": json_row["bytes"],
-        "live.codec_bytes_binary": binary_row["bytes"],
+        "live.codec_bytes_binary": row["bytes"],
     }
     result["perf"] = {
         "events": len(messages),
-        "wall_s": binary_row["wall_s"],
-        "events_per_sec": binary_row["frames_per_sec"],
+        "wall_s": row["wall_s"],
+        "events_per_sec": row["frames_per_sec"],
         "sim_seconds": 0.0,
         "sim_per_wall": 0.0,
     }
-    result["codecs"] = [json_row, binary_row]
+    result["codecs"] = [row]
     result["handlers"] = []
     result["memory"] = {}
     if not quick:

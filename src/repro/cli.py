@@ -600,7 +600,6 @@ def cmd_cluster(args) -> int:
             num_files=args.files,
             file_duration_s=args.file_seconds,
             deadman_timeout=args.deadman,
-            codec=args.codec,
             arrivals=args.arrivals,
             hubs=args.hubs,
             helpers=args.helpers,
@@ -872,10 +871,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="viewer streams driven from the driver "
                               "(--viewers is an alias for load-test "
                               "phrasing)")
-    cluster.add_argument("--codec", choices=("json", "binary"),
-                         default="json",
-                         help="preferred wire codec; negotiated per "
-                              "connection, JSON-only peers keep working")
     cluster.add_argument("--arrivals",
                          choices=("stagger", "zipf", "flash"),
                          default="stagger",

@@ -3,7 +3,7 @@
 This package runs the *unmodified* protocol classes — cubs, the
 controller, the backup controller, viewer clients — as real OS
 processes on localhost (or, in principle, separate machines),
-exchanging length-prefixed JSON frames over TCP, with timers on an
+exchanging length-prefixed frames over TCP, with timers on an
 asyncio event loop and the wall clock as schedule time.  It is the
 second implementation of the backend contract in
 :mod:`repro.runtime`; the first is the discrete-event simulator.
@@ -13,7 +13,7 @@ Modules
 ``repro.live.runtime``
     :class:`LiveRuntime` — wall clock + asyncio timers.
 ``repro.live.wire``
-    Versioned frame format and the per-payload-type codec registry.
+    Versioned frame format and the payload-type registry.
 ``repro.live.transport``
     Socket transports satisfying :class:`repro.runtime.Transport`.
 ``repro.live.node``
@@ -29,9 +29,7 @@ from repro.live.runtime import LiveRuntime, LiveTimer
 from repro.live.wire import (
     WIRE_VERSION,
     WireError,
-    decode_payload,
-    encode_payload,
-    message_frame,
+    encode_message,
     registered_payload_types,
 )
 
@@ -40,8 +38,6 @@ __all__ = [
     "LiveTimer",
     "WIRE_VERSION",
     "WireError",
-    "decode_payload",
-    "encode_payload",
-    "message_frame",
+    "encode_message",
     "registered_payload_types",
 ]

@@ -25,15 +25,13 @@ table stays global.  Each connection gets a send queue with high/low
 watermark backpressure accounting and a hard cap (see
 :class:`NodeConnection`), so one slow peer cannot wedge the hub.
 
-Codecs
+Frames
 ------
-Frames start as v1 JSON.  A node's ``hello`` advertises the codecs it
-speaks; the hub answers with a ``codec_ack`` choosing one per
-connection (:func:`repro.live.wire.choose_codec`, steered by
-``scenario.codec``), after which both sides *encode* protocol
-messages with the chosen codec — decoders accept both at all times,
-and control frames stay JSON forever.  Per-codec frame/byte counters
-land in ``live.wire_frames`` / ``live.wire_bytes``.
+Protocol messages travel as binary v2 frames; the rare control records
+(``hello``, ``_start``, ``_metrics``, ``_stop``, ``_bye``, ``_error``)
+as JSON (see :mod:`repro.live.wire`).  Frame/byte counters land in
+``live.wire_frames`` / ``live.wire_bytes``, labelled ``codec=binary``
+for messages and ``codec=json`` for control frames.
 
 Determinism and comparability
 -----------------------------
@@ -81,11 +79,9 @@ from repro.live.runtime import LiveRuntime
 from repro.live.transport import HubTransport
 from repro.live.wire import (
     CODEC_JSON,
-    SUPPORTED_CODECS,
     FrameDecoder,
     WireError,
     WireStats,
-    choose_codec,
     control_frame,
     encode_message,
 )
@@ -147,9 +143,6 @@ class ClusterScenario:
     #: Seconds between the ``_start`` broadcast and the shared epoch —
     #: the window in which every node builds its content state.
     start_delta: float = 1.5
-    #: Preferred message codec (``json`` or ``binary``); negotiated
-    #: per connection, so a peer that only speaks JSON stays on JSON.
-    codec: str = CODEC_JSON
     #: Arrival-trace shape (see :mod:`repro.workloads.arrivals`).
     arrivals: str = "stagger"
     #: Catalog popularity skew for random arrival modes.
@@ -209,11 +202,6 @@ class ClusterScenario:
             raise ValueError(
                 f"unknown placement policy {self.placement!r}; pick one "
                 f"of {PLACEMENT_POLICIES}"
-            )
-        if self.codec not in SUPPORTED_CODECS:
-            raise ValueError(
-                f"unknown codec {self.codec!r}; pick one of "
-                f"{sorted(SUPPORTED_CODECS)}"
             )
         if self.arrivals not in ARRIVAL_MODES:
             raise ValueError(
@@ -399,6 +387,60 @@ def build_restripe_plan(scenario: "ClusterScenario", layout: Any, files: Any):
     return plan_rebalance(layout, weighted, files, block_bytes)
 
 
+def schedule_viewer_plan(
+    scenario: ClusterScenario,
+    call_at: Callable[..., Any],
+    clients: List[ViewerClient],
+    files: List[Any],
+) -> None:
+    """Schedule the scenario's viewer starts, stop and churn.
+
+    The one scenario driver both backends share: ``call_at`` is the
+    backend's timer (:meth:`LiveRuntime.call_at` live, the simulator's
+    ``call_at`` in the replay), ``clients`` its viewer clients and
+    ``files`` its content library.  Kills and the restriper stay with
+    each backend.
+    """
+    instances: Dict[int, int] = {}
+    paused_instances: Dict[int, int] = {}
+
+    def _start_stream(client_index: int, file_index: int) -> None:
+        file_id = files[file_index].file_id
+        instances[client_index] = clients[client_index].start_stream(file_id)
+
+    def _stop_stream(client_index: int) -> None:
+        instance = instances.get(client_index)
+        if instance is not None:
+            clients[client_index].stop_stream(instance)
+
+    def _pause_stream(client_index: int) -> None:
+        instance = instances.get(client_index)
+        if instance is not None:
+            parked = clients[client_index].pause_stream(instance)
+            if parked is not None:
+                paused_instances[client_index] = parked
+                instances.pop(client_index, None)
+
+    def _resume_stream(client_index: int) -> None:
+        parked = paused_instances.pop(client_index, None)
+        if parked is not None:
+            resumed = clients[client_index].resume_stream(parked)
+            if resumed is not None:
+                instances[client_index] = resumed
+
+    churn_ops = {
+        "pause": _pause_stream,
+        "resume": _resume_stream,
+        "stop": _stop_stream,
+    }
+    for client_index, file_index, start_at in scenario.stream_plan():
+        call_at(start_at, _start_stream, client_index, file_index)
+    for client_index, stop_at in scenario.stop_plan():
+        call_at(stop_at, _stop_stream, client_index)
+    for churn_at, op, client_index in scenario.churn_plan():
+        call_at(churn_at, churn_ops[op], client_index)
+
+
 # ----------------------------------------------------------------------
 # Per-connection send queue with watermark backpressure
 # ----------------------------------------------------------------------
@@ -424,8 +466,6 @@ class NodeConnection:
     ) -> None:
         self.address = address
         self.writer = writer
-        #: Negotiated *encoding* codec for protocol messages.
-        self.codec = CODEC_JSON
         self.backpressure_events = backpressure_counter
         self.sendq_dropped = dropped_counter
         self._queue: deque = deque()
@@ -499,11 +539,9 @@ class ClusterHub:
         self,
         expected: List[str],
         registry: MetricsRegistry,
-        preferred_codec: str = CODEC_JSON,
         hubs: int = 1,
     ) -> None:
         self.expected = set(expected)
-        self.preferred_codec = preferred_codec
         self.hubs = max(1, hubs)
         self.connections: Dict[str, NodeConnection] = {}
         #: Driver-local delivery targets (the viewer clients).
@@ -576,7 +614,7 @@ class ClusterHub:
         if connection is None or connection.is_closing():
             self.dropped.increment()
             return False
-        frame = encode_message(message, connection.codec, self.wire_stats)
+        frame = encode_message(message, self.wire_stats)
         if not connection.send(frame):
             self.dropped.increment()
             return False
@@ -614,19 +652,6 @@ class ClusterHub:
                             self.sendq_dropped,
                         )
                         self.connections[address] = connection
-                        # Codec negotiation: a peer that advertised
-                        # nothing is a v1 build — leave it on JSON and
-                        # send no ack it wouldn't understand anyway.
-                        offered = parsed.get("codecs")
-                        if offered:
-                            chosen = choose_codec(
-                                offered, self.preferred_codec
-                            )
-                            connection.codec = chosen
-                            self._send_control(
-                                connection,
-                                control_frame("codec_ack", codec=chosen),
-                            )
                         if self.expected <= set(self.connections):
                             self.all_joined.set()
                     elif ctl == "_metrics":
@@ -747,7 +772,7 @@ class ClusterReport:
         lines.append(
             f"live cluster: {scenario.cubs} cubs, {scenario.streams} "
             f"streams, {scenario.duration:g}s runtime "
-            f"({self.wall_seconds:.1f}s wall), codec {scenario.codec}, "
+            f"({self.wall_seconds:.1f}s wall), "
             f"arrivals {scenario.arrivals}, {scenario.hubs} hub(s)"
         )
         if scenario.helpers:
@@ -930,20 +955,14 @@ async def _run_cluster_async(
     wall_start = time.time()
     registry = MetricsRegistry()
     cluster = LiveCluster()
-    hub = ClusterHub(
-        scenario.node_addresses(),
-        registry,
-        preferred_codec=scenario.codec,
-        hubs=scenario.hubs,
-    )
+    hub = ClusterHub(scenario.node_addresses(), registry, hubs=scenario.hubs)
     cluster.hub = hub
     ports = await hub.start()
     workdir = Path(tempfile.mkdtemp(prefix="tiger-live-"))
     echo(
         f"booting {len(scenario.node_addresses())} node processes "
         f"({len(ports)} hub listener(s) on 127.0.0.1:"
-        f"{','.join(str(p) for p in ports)}, codec {scenario.codec}, "
-        f"workdir {workdir})"
+        f"{','.join(str(p) for p in ports)}, workdir {workdir})"
     )
     _spawn_nodes(workdir, scenario, ports, cluster)
     try:
@@ -1024,45 +1043,7 @@ async def _run_cluster_async(
         hub.local[client.address] = _observed_deliver(client)
         clients.append(client)
 
-    instances: Dict[int, int] = {}
-    paused_instances: Dict[int, int] = {}
-
-    def _start_stream(client_index: int, file_index: int) -> None:
-        file_id = world.files[file_index].file_id
-        instances[client_index] = clients[client_index].start_stream(file_id)
-
-    def _stop_stream(client_index: int) -> None:
-        instance = instances.get(client_index)
-        if instance is not None:
-            clients[client_index].stop_stream(instance)
-
-    def _pause_stream(client_index: int) -> None:
-        instance = instances.get(client_index)
-        if instance is not None:
-            parked = clients[client_index].pause_stream(instance)
-            if parked is not None:
-                paused_instances[client_index] = parked
-                instances.pop(client_index, None)
-
-    def _resume_stream(client_index: int) -> None:
-        parked = paused_instances.pop(client_index, None)
-        if parked is not None:
-            resumed = clients[client_index].resume_stream(parked)
-            if resumed is not None:
-                instances[client_index] = resumed
-
-    _churn_ops = {
-        "pause": _pause_stream,
-        "resume": _resume_stream,
-        "stop": _stop_stream,
-    }
-
-    for client_index, file_index, start_at in scenario.stream_plan():
-        runtime.call_at(start_at, _start_stream, client_index, file_index)
-    for client_index, stop_at in scenario.stop_plan():
-        runtime.call_at(stop_at, _stop_stream, client_index)
-    for churn_at, op, client_index in scenario.churn_plan():
-        runtime.call_at(churn_at, _churn_ops[op], client_index)
+    schedule_viewer_plan(scenario, runtime.call_at, clients, world.files)
 
     # The online restriper is a driver-hosted protocol node: the same
     # OnlineRestriper class the DES runs, on LiveRuntime + HubTransport.
@@ -1235,45 +1216,7 @@ def run_scenario_in_sim(scenario: ClusterScenario) -> Dict[str, Any]:
         system.sim.call_at(scenario.restripe_start, restriper.start)
     clients = [system.add_client() for _ in range(scenario.streams)]
 
-    instances: Dict[int, int] = {}
-    paused_instances: Dict[int, int] = {}
-
-    def _start_stream(client_index: int, file_index: int) -> None:
-        file_id = files[file_index].file_id
-        instances[client_index] = clients[client_index].start_stream(file_id)
-
-    def _stop_stream(client_index: int) -> None:
-        instance = instances.get(client_index)
-        if instance is not None:
-            clients[client_index].stop_stream(instance)
-
-    def _pause_stream(client_index: int) -> None:
-        instance = instances.get(client_index)
-        if instance is not None:
-            parked = clients[client_index].pause_stream(instance)
-            if parked is not None:
-                paused_instances[client_index] = parked
-                instances.pop(client_index, None)
-
-    def _resume_stream(client_index: int) -> None:
-        parked = paused_instances.pop(client_index, None)
-        if parked is not None:
-            resumed = clients[client_index].resume_stream(parked)
-            if resumed is not None:
-                instances[client_index] = resumed
-
-    _churn_ops = {
-        "pause": _pause_stream,
-        "resume": _resume_stream,
-        "stop": _stop_stream,
-    }
-
-    for client_index, file_index, start_at in scenario.stream_plan():
-        system.sim.call_at(start_at, _start_stream, client_index, file_index)
-    for client_index, stop_at in scenario.stop_plan():
-        system.sim.call_at(stop_at, _stop_stream, client_index)
-    for churn_at, op, client_index in scenario.churn_plan():
-        system.sim.call_at(churn_at, _churn_ops[op], client_index)
+    schedule_viewer_plan(scenario, system.sim.call_at, clients, files)
     kill_at = scenario.kill_time()
     if kill_at is not None:
         system.sim.call_at(kill_at, system.cubs[scenario.kill_cub].fail)

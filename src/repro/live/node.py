@@ -47,13 +47,7 @@ from repro.faults.live import CubInvariantProbe
 from repro.helpers.node import HelperNode
 from repro.live.runtime import LiveRuntime
 from repro.live.transport import NodeTransport
-from repro.live.wire import (
-    CODEC_JSON,
-    SUPPORTED_CODECS,
-    FrameDecoder,
-    WireStats,
-    control_frame,
-)
+from repro.live.wire import CODEC_JSON, FrameDecoder, WireStats, control_frame
 from repro.net.message import reset_message_ids
 from repro.obs.registry import MetricsRegistry
 from repro.sim.rng import RngRegistry
@@ -227,8 +221,6 @@ class LiveNode:
         self.component: Any = None
         self.probe: Optional[CubInvariantProbe] = None
         self._stopping = False
-        #: Outgoing message codec; JSON until the hub's ``codec_ack``.
-        self.codec = CODEC_JSON
         self.wire_stats = WireStats(self.registry, node=self.address)
 
     # -- metrics ------------------------------------------------------
@@ -285,15 +277,12 @@ class LiveNode:
         )
         self._write_control(
             writer,
-            control_frame(
-                "hello", node=self.address, pid=os.getpid(),
-                codecs=list(SUPPORTED_CODECS),
-            ),
+            control_frame("hello", node=self.address, pid=os.getpid()),
         )
         await writer.drain()
 
         decoder = FrameDecoder(stats=self.wire_stats)
-        start_body = await self._await_start(reader, decoder)
+        start_body, pending = await self._await_start(reader, decoder)
         epoch = float(start_body["epoch"])
 
         # Namespace the message-id sequence so every live node mints ids
@@ -303,7 +292,7 @@ class LiveNode:
         loop = asyncio.get_running_loop()
         self.runtime = LiveRuntime(epoch, loop)
         self.transport = NodeTransport(
-            self.runtime, writer, codec=self.codec, stats=self.wire_stats
+            self.runtime, writer, stats=self.wire_stats
         )
         world = NodeWorld(
             config_from_dict(spec["config"]),
@@ -323,19 +312,12 @@ class LiveNode:
             self.metrics_interval, self._pump_metrics, writer
         )
 
-        await self._serve(reader, writer, decoder)
+        await self._serve(reader, writer, decoder, pending)
         return 0
 
     def _handle_control(self, parsed: Dict[str, Any]) -> None:
         ctl = parsed.get("ctl")
-        if ctl == "codec_ack":
-            # Negotiation result: switch the *encoder*.  The decoder
-            # accepts both codecs throughout, so ordering races between
-            # the ack and in-flight frames are harmless.
-            self.codec = str(parsed.get("codec", CODEC_JSON))
-            if self.transport is not None:
-                self.transport.set_codec(self.codec)
-        elif ctl == "_error":
+        if ctl == "_error":
             # The hub rejected one of our frames; record and carry on
             # (the hub closes the connection for fatal decode errors).
             print(
@@ -348,16 +330,30 @@ class LiveNode:
 
     async def _await_start(
         self, reader: asyncio.StreamReader, decoder: FrameDecoder
-    ) -> Dict[str, Any]:
+    ) -> Tuple[Dict[str, Any], List[Tuple[str, Any]]]:
+        """Read until ``_start``; returns it and the frames after it.
+
+        Frames that arrived in the same read as ``_start`` have already
+        left the decoder, so they are handed back for :meth:`_serve` to
+        process once the component exists.
+        """
         while True:
             data = await reader.read(65536)
             if not data:
                 raise ConnectionError("hub closed before _start")
-            for kind, parsed in decoder.feed_parsed(data):
+            frames = decoder.feed_parsed(data)
+            for index, (kind, parsed) in enumerate(frames):
                 if kind != "ctl":
                     continue  # pre-start protocol traffic: driver bug
                 if parsed.get("ctl") == "_start":
-                    return parsed
+                    return parsed, frames[index + 1:]
+                self._handle_control(parsed)
+
+    def _dispatch(self, frames: List[Tuple[str, Any]]) -> None:
+        for kind, parsed in frames:
+            if kind == "msg":
+                self.component.deliver(parsed)
+            else:
                 self._handle_control(parsed)
 
     async def _serve(
@@ -365,16 +361,14 @@ class LiveNode:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
         decoder: FrameDecoder,
+        pending: List[Tuple[str, Any]],
     ) -> None:
+        self._dispatch(pending)
         while not self._stopping:
             data = await reader.read(65536)
             if not data:
                 break  # hub gone: shut down quietly
-            for kind, parsed in decoder.feed_parsed(data):
-                if kind == "msg":
-                    self.component.deliver(parsed)
-                else:
-                    self._handle_control(parsed)
+            self._dispatch(decoder.feed_parsed(data))
         await self._shutdown(writer)
 
     async def _shutdown(self, writer: asyncio.StreamWriter) -> None:

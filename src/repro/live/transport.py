@@ -23,48 +23,34 @@ carry content fingerprints, not megabytes).
 from __future__ import annotations
 
 import asyncio
-from typing import Any
-
-from typing import Optional
+from typing import Any, Optional
 
 from repro.live.runtime import LiveRuntime
-from repro.live.wire import CODEC_JSON, WireStats, encode_message
+from repro.live.wire import WireStats, encode_message
 from repro.net.message import Message
 
 
 class NodeTransport:
-    """A node's message surface: one framed TCP stream to the hub.
-
-    ``codec`` is the *encoding* codec for outgoing message frames; it
-    starts as JSON and is switched by the node when the hub's
-    ``codec_ack`` lands (see :func:`repro.live.wire.choose_codec`).
-    The receive side is codec-agnostic throughout.
-    """
+    """A node's message surface: one framed TCP stream to the hub."""
 
     def __init__(
         self,
         runtime: LiveRuntime,
         writer: asyncio.StreamWriter,
-        codec: str = CODEC_JSON,
         stats: Optional[WireStats] = None,
     ) -> None:
         self.runtime = runtime
         self._writer = writer
-        self.codec = codec
         self.stats = stats
         self.messages_sent = 0
         self.bytes_sent = 0
         self.send_failures = 0
 
-    def set_codec(self, codec: str) -> None:
-        """Switch the outgoing message codec (negotiation result)."""
-        self.codec = codec
-
     def _write(self, message: Message) -> bool:
         if self._writer.is_closing():
             self.send_failures += 1
             return False
-        frame = encode_message(message, self.codec, self.stats)
+        frame = encode_message(message, self.stats)
         self._writer.write(frame)
         self.messages_sent += 1
         self.bytes_sent += len(frame)

@@ -3,40 +3,31 @@
 The DES hands payload objects between components by reference; real
 sockets need bytes.  This module defines:
 
-* a **codec registry** mapping every protocol payload dataclass
+* a **payload registry** mapping every protocol payload dataclass
   (:class:`~repro.core.viewerstate.ViewerState`, deschedule requests,
   heartbeats, reservations/start-stop traffic, block data, replica
-  updates, ...) to a stable type tag *and* a stable numeric id, with
-  generic recursive encode/decode — registering a new payload type is
+  updates, ...) to a stable tag (its documented name) and a stable
+  numeric id (its wire identity) — registering a new payload type is
   one :func:`register_payload` call;
-* **frame v1 (JSON)**: a 4-byte big-endian length prefix followed by a
-  JSON body carrying the wire version, the
-  :class:`~repro.net.message.Message` envelope (src, dst, kind,
-  modelled size, message id) and the encoded payload;
-* **frame v2 (binary)**: the same length prefix followed by a
-  struct-packed body (magic ``0xB2``, version, frame type, fixed-width
-  envelope, type-coded payload values) decoded from :class:`memoryview`
-  slices without intermediate copies.  A binary body can never be
-  mistaken for JSON — JSON bodies start with ``{`` (0x7B), binary
-  bodies with ``0xB2`` — so one stream can carry both and a decoder
-  never needs out-of-band codec state;
-* **per-connection codec negotiation**: a node's ``hello`` control
-  frame advertises the codecs it speaks (:data:`SUPPORTED_CODECS`),
-  the hub answers with a ``codec_ack`` naming the connection's codec
-  (:func:`choose_codec`), and each side switches its *encoder*; both
-  decoders accept both codecs throughout, so v1 JSON peers that never
-  advertise anything keep working unchanged;
+* **message frames (v2 binary)**: a 4-byte big-endian length prefix
+  followed by a struct-packed body (magic ``0xB2``, version, frame
+  type, fixed-width :class:`~repro.net.message.Message` envelope,
+  type-coded payload values) decoded from :class:`memoryview` slices
+  without intermediate copies;
+* **control frames (v1 JSON)**: the same length prefix followed by a
+  JSON object carrying the wire version and a ``ctl`` verb (``hello``,
+  ``_start``, ``_metrics``, ``_stop``, ``_bye``, ``_error``).  They are
+  rare, carry metric snapshots, and must be readable before anything
+  else happens.  The first body byte tells the two apart — JSON bodies
+  start with ``{`` (0x7B), binary bodies with ``0xB2``;
 * an incremental :class:`FrameDecoder` that accepts arbitrary chunk
   boundaries from a TCP stream, with optional :class:`WireStats`
-  frame/byte accounting per codec.
+  frame/byte accounting.
 
-Frames whose version, length, magic, or payload tag is wrong are
-rejected with :class:`WireError` — a malformed peer cannot wedge the
-decoder.  Control frames (``hello``, ``_start``, ``_metrics``,
-``_bye``, ``_stop``, ``codec_ack``, ``_error``) always travel as v1
-JSON: they are rare, driver-level, and must be readable before any
-negotiation has happened.  The byte-level layout of both frame
-versions is specified in ``docs/WIRE.md``.
+Frames whose version, length, magic, or payload id is wrong, and JSON
+bodies that are not control records, are rejected with
+:class:`WireError` — a malformed peer cannot wedge the decoder.  The
+byte-level layout of both frame kinds is specified in ``docs/WIRE.md``.
 """
 
 from __future__ import annotations
@@ -44,7 +35,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import struct
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Type
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Type
 
 from repro.core.protocol import (
     BlockData,
@@ -78,8 +69,8 @@ from repro.core.viewerstate import (
 )
 from repro.net.message import KIND_CONTROL, KIND_DATA, Message
 
-#: Frame format version of JSON frames.  A JSON frame carrying any
-#: other version is rejected.
+#: Frame format version of JSON control frames.  A control frame
+#: carrying any other version is rejected.
 WIRE_VERSION = 1
 
 #: Frame format version of binary frames (the ``version`` byte that
@@ -87,16 +78,13 @@ WIRE_VERSION = 1
 WIRE_VERSION_BINARY = 2
 
 #: First byte of every binary frame body.  JSON bodies start with
-#: ``{`` (0x7B), so the two codecs are self-describing on one stream.
+#: ``{`` (0x7B), so the two frame kinds are self-describing on one stream.
 BINARY_MAGIC = 0xB2
 
-#: Codec names used in negotiation and in ``live.wire_*`` labels.
+#: ``codec`` label values of the ``live.wire_*`` counters: JSON
+#: control frames and binary protocol-message frames.
 CODEC_JSON = "json"
 CODEC_BINARY = "binary"
-
-#: Codecs this build speaks, in preference order (most preferred
-#: first).  ``hello`` advertises exactly this tuple.
-SUPPORTED_CODECS: Tuple[str, ...] = (CODEC_BINARY, CODEC_JSON)
 
 #: Upper bound on one frame's body size.  Control records are a few
 #: hundred bytes; even a maximal viewer-state batch is far below this.
@@ -104,9 +92,6 @@ SUPPORTED_CODECS: Tuple[str, ...] = (CODEC_BINARY, CODEC_JSON)
 MAX_FRAME_BYTES = 1 << 20
 
 _LENGTH = struct.Struct(">I")
-
-#: JSON key carrying a payload object's type tag.
-_TYPE_KEY = "_t"
 
 # Binary frame types (the byte after the version byte).
 _FT_MESSAGE = 0x01
@@ -140,10 +125,9 @@ class WireError(ValueError):
 
 
 # ----------------------------------------------------------------------
-# Payload codec registry
+# Payload registry
 # ----------------------------------------------------------------------
 _TAG_TO_TYPE: Dict[str, Type[Any]] = {}
-_TYPE_TO_TAG: Dict[Type[Any], str] = {}
 #: Stable numeric ids for the binary codec, assigned in registration
 #: order starting at 1 (0 is reserved/invalid).
 _TAG_TO_ID: Dict[str, int] = {}
@@ -162,8 +146,9 @@ def register_payload(tag: str, cls: Type[Any]) -> None:
     (see ``docs/WIRE.md``), so new types must be appended, never
     inserted.
 
-    :param tag: Short, stable identifier written into v1 frames.
-    :param cls: A dataclass whose fields are JSON primitives, tuples
+    :param tag: Short, stable name of the type (the documented name of
+        its numeric id in ``docs/WIRE.md``).
+    :param cls: A dataclass whose fields are primitives, tuples
         thereof, or other registered payload types.
     """
     if not dataclasses.is_dataclass(cls):
@@ -176,7 +161,6 @@ def register_payload(tag: str, cls: Type[Any]) -> None:
     if numeric_id > 0xFF:
         raise WireError("payload registry full (255 types)")
     _TAG_TO_TYPE[tag] = cls
-    _TYPE_TO_TAG[cls] = tag
     _TAG_TO_ID[tag] = numeric_id
     _ID_TO_TYPE[numeric_id] = cls
     _TYPE_TO_ID[cls] = numeric_id
@@ -230,86 +214,18 @@ for _tag, _cls in (
     register_payload(_tag, _cls)
 
 
-def encode_payload(obj: Any) -> Any:
-    """Encode a payload object (or primitive) to a JSON-ready value."""
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
-    if isinstance(obj, (tuple, list)):
-        return [encode_payload(item) for item in obj]
-    tag = _TYPE_TO_TAG.get(type(obj))
-    if tag is None:
-        raise WireError(
-            f"payload type {type(obj).__name__} is not wire-registered"
-        )
-    encoded: Dict[str, Any] = {_TYPE_KEY: tag}
-    for field in dataclasses.fields(obj):
-        encoded[field.name] = encode_payload(getattr(obj, field.name))
-    return encoded
-
-
-def decode_payload(value: Any) -> Any:
-    """Inverse of :func:`encode_payload`.
-
-    JSON arrays decode to tuples (the payload dataclasses are frozen
-    and declare tuple fields).  Unknown tags raise :class:`WireError`.
-    """
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, list):
-        return tuple(decode_payload(item) for item in value)
-    if isinstance(value, dict):
-        tag = value.get(_TYPE_KEY)
-        cls = _TAG_TO_TYPE.get(tag)
-        if cls is None:
-            raise WireError(f"unknown payload tag {tag!r}")
-        field_names = {field.name for field in dataclasses.fields(cls)}
-        kwargs = {}
-        for key, item in value.items():
-            if key == _TYPE_KEY:
-                continue
-            if key not in field_names:
-                raise WireError(f"payload {tag!r} has no field {key!r}")
-            kwargs[key] = decode_payload(item)
-        try:
-            return cls(**kwargs)
-        except TypeError as error:
-            raise WireError(f"bad {tag!r} payload: {error}") from error
-    raise WireError(f"undecodable wire value of type {type(value).__name__}")
-
-
 # ----------------------------------------------------------------------
-# Codec negotiation
-# ----------------------------------------------------------------------
-def choose_codec(offered: Sequence[str], preferred: str) -> str:
-    """Pick a connection's codec from what the peer offered.
-
-    The hub calls this with the peer's ``hello`` advertisement and the
-    scenario's requested codec.  The requested codec wins when the peer
-    speaks it; otherwise the best mutually supported codec (in
-    :data:`SUPPORTED_CODECS` preference order); otherwise JSON, which
-    every build speaks — a v1 peer that advertised nothing at all
-    simply stays on JSON.
-    """
-    usable = [codec for codec in offered if codec in SUPPORTED_CODECS]
-    if preferred in usable:
-        return preferred
-    for codec in SUPPORTED_CODECS:
-        if codec in usable:
-            return codec
-    return CODEC_JSON
-
-
-# ----------------------------------------------------------------------
-# Per-codec accounting
+# Frame accounting
 # ----------------------------------------------------------------------
 class WireStats:
     """Frames/bytes per codec and direction, backed by obs counters.
 
     One instance per endpoint (a node process, or the driver's hub).
-    ``direction`` is from the owning endpoint's point of view: ``tx``
-    counts frames this endpoint encoded onto a socket, ``rx`` counts
-    frames its decoder parsed.  Frame length includes the 4-byte
-    length prefix.
+    ``codec`` is :data:`CODEC_JSON` for control frames and
+    :data:`CODEC_BINARY` for protocol messages.  ``direction`` is from
+    the owning endpoint's point of view: ``tx`` counts frames this
+    endpoint encoded onto a socket, ``rx`` counts frames its decoder
+    parsed.  Frame length includes the 4-byte length prefix.
     """
 
     __slots__ = ("_tx", "_rx")
@@ -329,8 +245,9 @@ class WireStats:
             )
             return frames, bytes_
 
-        self._tx = {codec: pair(codec, "tx") for codec in SUPPORTED_CODECS}
-        self._rx = {codec: pair(codec, "rx") for codec in SUPPORTED_CODECS}
+        codecs = (CODEC_BINARY, CODEC_JSON)
+        self._tx = {codec: pair(codec, "tx") for codec in codecs}
+        self._rx = {codec: pair(codec, "rx") for codec in codecs}
 
     def on_encoded(self, codec: str, nbytes: int) -> None:
         frames, bytes_ = self._tx[codec]
@@ -344,49 +261,29 @@ class WireStats:
 
 
 # ----------------------------------------------------------------------
-# Frames: v1 (JSON)
+# Control frames (v1 JSON)
 # ----------------------------------------------------------------------
-def _encode_frame(body: Dict[str, Any]) -> bytes:
+def control_frame(kind: str, **fields: Any) -> bytes:
+    """Serialize a hub/node control record (hello, start, metrics...).
+
+    Control frames share the stream with message frames but never reach
+    protocol code; they drive join/handshake, clock distribution,
+    metrics streaming, error reporting, and shutdown.
+    """
+    body: Dict[str, Any] = {"v": WIRE_VERSION, "ctl": kind}
+    body.update(fields)
     data = json.dumps(body, separators=(",", ":")).encode("utf-8")
     if len(data) > MAX_FRAME_BYTES:
         raise WireError(f"frame body of {len(data)} bytes exceeds maximum")
     return _LENGTH.pack(len(data)) + data
 
 
-def message_frame(message: Message) -> bytes:
-    """Serialize one :class:`~repro.net.message.Message` as a v1 frame."""
-    return _encode_frame(
-        {
-            "v": WIRE_VERSION,
-            "src": message.src,
-            "dst": message.dst,
-            "kind": message.kind,
-            "size": message.size_bytes,
-            "id": message.msg_id,
-            "p": encode_payload(message.payload),
-        }
-    )
+def parse_frame(body: Any) -> Tuple[str, Dict[str, Any]]:
+    """Check one decoded JSON frame body is a control record.
 
-
-def control_frame(kind: str, **fields: Any) -> bytes:
-    """Serialize a hub/node control record (hello, start, metrics...).
-
-    Control frames share the stream with message frames but never reach
-    protocol code; they drive join/handshake, codec negotiation, clock
-    distribution, metrics streaming, error reporting, and shutdown.
-    They are always v1 JSON regardless of the negotiated data codec.
-    """
-    body: Dict[str, Any] = {"v": WIRE_VERSION, "ctl": kind}
-    body.update(fields)
-    return _encode_frame(body)
-
-
-def parse_frame(body: Dict[str, Any]) -> Tuple[str, Any]:
-    """Classify one decoded JSON frame body.
-
-    :returns: ``("ctl", body)`` for control frames, or
-        ``("msg", Message)`` for protocol messages.
-    :raises WireError: on version mismatch or missing envelope fields.
+    :returns: ``("ctl", body)``.
+    :raises WireError: on a version mismatch or a body without ``ctl``
+        (protocol messages only ever travel as binary frames).
     """
     if not isinstance(body, dict):
         raise WireError("frame body is not an object")
@@ -395,26 +292,13 @@ def parse_frame(body: Dict[str, Any]) -> Tuple[str, Any]:
         raise WireError(
             f"unsupported wire version {version!r} (speaking {WIRE_VERSION})"
         )
-    if "ctl" in body:
-        return ("ctl", body)
-    try:
-        message = Message(
-            src=body["src"],
-            dst=body["dst"],
-            payload=decode_payload(body["p"]),
-            size_bytes=body["size"],
-            kind=body["kind"],
-            msg_id=body["id"],
-        )
-    except KeyError as error:
-        raise WireError(f"frame missing envelope field {error}") from error
-    except ValueError as error:
-        raise WireError(f"bad message envelope: {error}") from error
-    return ("msg", message)
+    if "ctl" not in body:
+        raise WireError("JSON frame body has no 'ctl' verb")
+    return ("ctl", body)
 
 
 # ----------------------------------------------------------------------
-# Frames: v2 (binary)
+# Message frames (v2 binary)
 # ----------------------------------------------------------------------
 def _encode_binary_value(obj: Any, out: bytearray) -> None:
     if obj is None:
@@ -460,8 +344,10 @@ def _encode_binary_value(obj: Any, out: bytearray) -> None:
             _encode_binary_value(getattr(obj, name), out)
 
 
-def binary_message_frame(message: Message) -> bytes:
-    """Serialize one message as a v2 (binary) frame."""
+def encode_message(
+    message: Message, stats: Optional[WireStats] = None
+) -> bytes:
+    """Serialize one message as a v2 (binary) frame, counting into stats."""
     kind_code = _KIND_TO_CODE.get(message.kind)
     if kind_code is None:
         raise WireError(f"unknown message kind {message.kind!r}")
@@ -480,7 +366,10 @@ def binary_message_frame(message: Message) -> bytes:
     _encode_binary_value(message.payload, body)
     if len(body) > MAX_FRAME_BYTES:
         raise WireError(f"frame body of {len(body)} bytes exceeds maximum")
-    return _LENGTH.pack(len(body)) + bytes(body)
+    frame = _LENGTH.pack(len(body)) + bytes(body)
+    if stats is not None:
+        stats.on_encoded(CODEC_BINARY, len(frame))
+    return frame
 
 
 def _read_binary_str(view: memoryview, offset: int) -> Tuple[str, int]:
@@ -594,22 +483,6 @@ def _parse_binary_body(view: memoryview) -> Tuple[str, Any]:
     return ("msg", message)
 
 
-def encode_message(
-    message: Message, codec: str = CODEC_JSON,
-    stats: Optional[WireStats] = None,
-) -> bytes:
-    """Serialize a message with the given codec, counting into stats."""
-    if codec == CODEC_BINARY:
-        frame = binary_message_frame(message)
-    elif codec == CODEC_JSON:
-        frame = message_frame(message)
-    else:
-        raise WireError(f"unknown codec {codec!r}")
-    if stats is not None:
-        stats.on_encoded(codec, len(frame))
-    return frame
-
-
 def _parse_body_view(view: memoryview) -> Tuple[str, Tuple[str, Any]]:
     """Decode one frame body; returns ``(codec, parsed frame)``."""
     if len(view) and view[0] == BINARY_MAGIC:
@@ -624,59 +497,26 @@ def _parse_body_view(view: memoryview) -> Tuple[str, Tuple[str, Any]]:
 class FrameDecoder:
     """Incremental frame reader tolerating arbitrary chunk boundaries.
 
-    Feed raw TCP bytes in; complete frames come out.  The decoder
-    validates the length prefix before buffering a body, so a corrupt
-    or hostile peer cannot make it allocate unboundedly.  Two read
-    surfaces:
-
-    * :meth:`feed` — the v1 legacy surface: raw JSON frame *bodies*
-      (dicts), to be classified with :func:`parse_frame`;
-    * :meth:`feed_parsed` — codec-aware: parsed ``("ctl", body)`` /
-      ``("msg", Message)`` tuples for JSON *and* binary frames, with
-      binary bodies decoded straight from a :class:`memoryview` over
-      the receive buffer (no per-frame body copy).
+    Feed raw TCP bytes in; parsed ``("ctl", body)`` /
+    ``("msg", Message)`` tuples come out.  The decoder validates the
+    length prefix before buffering a body, so a corrupt or hostile peer
+    cannot make it allocate unboundedly, and decodes binary bodies
+    straight from a :class:`memoryview` over the receive buffer (no
+    per-frame body copy).
     """
 
     def __init__(self, stats: Optional[WireStats] = None) -> None:
         self._buffer = bytearray()
         self._stats = stats
 
-    def feed(self, data: bytes) -> List[Dict[str, Any]]:
-        """Add bytes; return every JSON frame body completed by them.
-
-        :raises WireError: on an oversized length prefix or a body that
-            is not valid JSON (including any binary frame — use
-            :meth:`feed_parsed` on mixed-codec streams).
-        """
-        self._buffer.extend(data)
-        bodies: List[Dict[str, Any]] = []
-        while True:
-            if len(self._buffer) < _LENGTH.size:
-                return bodies
-            (length,) = _LENGTH.unpack_from(self._buffer)
-            if length > MAX_FRAME_BYTES:
-                raise WireError(
-                    f"frame length {length} exceeds maximum "
-                    f"{MAX_FRAME_BYTES} (corrupt stream?)"
-                )
-            end = _LENGTH.size + length
-            if len(self._buffer) < end:
-                return bodies
-            raw = bytes(self._buffer[_LENGTH.size:end])
-            del self._buffer[:end]
-            try:
-                bodies.append(json.loads(raw))
-            except (UnicodeDecodeError, json.JSONDecodeError) as error:
-                raise WireError(f"undecodable frame body: {error}") from error
-
     def feed_parsed(self, data: bytes) -> List[Tuple[str, Any]]:
         """Add bytes; return every parsed frame completed by them.
 
-        Handles both codecs per frame (the first body byte
-        discriminates).  Binary bodies are decoded from a
-        :class:`memoryview` over the internal buffer — values are
-        extracted with ``unpack_from``/slice decoding, never via an
-        intermediate ``bytes`` copy of the body.
+        The first body byte discriminates control from message frames.
+        Binary bodies are decoded from a :class:`memoryview` over the
+        internal buffer — values are extracted with
+        ``unpack_from``/slice decoding, never via an intermediate
+        ``bytes`` copy of the body.
 
         :raises WireError: on any malformed frame; frames parsed
             before the error are lost to the caller, which treats a
@@ -730,8 +570,6 @@ class FrameDecoder:
 
 def decode_frames(data: bytes) -> Iterator[Tuple[str, Any]]:
     """Decode a complete byte string into parsed frames (tests, tools).
-
-    Accepts both codecs, interleaved.
 
     :raises WireError: if the data ends mid-frame or any frame is bad.
     """

@@ -25,7 +25,8 @@ from repro.live.cluster import (
     run_cluster,
     run_scenario_in_sim,
 )
-from repro.live.node import config_from_dict, config_to_dict
+from repro.live.node import LiveNode, config_from_dict, config_to_dict
+from repro.live.wire import FrameDecoder, control_frame
 from repro.obs.registry import merge_snapshots, snapshot_total
 
 
@@ -39,8 +40,6 @@ def test_scenario_validation():
         ClusterScenario(duration=0.5)
     with pytest.raises(ValueError, match="out of range"):
         ClusterScenario(cubs=4, kill_cub=4)
-    with pytest.raises(ValueError, match="codec"):
-        ClusterScenario(codec="gzip")
     with pytest.raises(ValueError, match="arrival"):
         ClusterScenario(arrivals="sawtooth")
     with pytest.raises(ValueError, match="hubs"):
@@ -292,6 +291,28 @@ def test_node_connection_backpressure_and_hard_cap():
         assert not connection.send(frame)
         assert dropped.value == 1
         await asyncio.sleep(0)
+
+    asyncio.run(scenario())
+
+
+def test_node_keeps_frames_read_together_with_start():
+    # ``_start`` and ``_stop`` arrive in one TCP read: the ``_stop`` has
+    # already left the decoder, so it must be handed on, not dropped.
+    async def scenario():
+        reader = asyncio.StreamReader()
+        reader.feed_data(
+            control_frame("_start", epoch=0.0, duration=1.0)
+            + control_frame("_stop")
+        )
+        reader.feed_eof()
+        node = LiveNode({"address": "cub:0"})
+        decoder = FrameDecoder()
+        start, pending = await node._await_start(reader, decoder)
+        assert start["ctl"] == "_start"
+        assert decoder.pending_bytes() == 0
+        assert [body["ctl"] for _, body in pending] == ["_stop"]
+        node._dispatch(pending)
+        assert node._stopping
 
     asyncio.run(scenario())
 

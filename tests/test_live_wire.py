@@ -2,13 +2,15 @@
 
 The round-trip half is property-style: instances of every registered
 payload type are synthesized from their type hints with seeded
-randomness (several per type), encoded to frame bytes, decoded back,
-and compared for exact equality — so adding a payload type to the
-registry automatically extends the test, and a codec that silently
-loses a field or narrows a float fails here first.
+randomness (several per type), encoded to binary message frames,
+decoded back, and compared for exact equality — so adding a payload
+type to the registry automatically extends the test, and a codec that
+silently loses a field or narrows a float fails here first.  Control
+frames are JSON; a JSON body that is not a control record is rejected.
 """
 
 import dataclasses
+import json
 import random
 import struct
 import typing
@@ -26,14 +28,9 @@ from repro.live.wire import (
     FrameDecoder,
     WireError,
     WireStats,
-    binary_message_frame,
-    choose_codec,
     control_frame,
     decode_frames,
-    decode_payload,
     encode_message,
-    encode_payload,
-    message_frame,
     parse_frame,
     register_payload,
     registered_payload_types,
@@ -86,36 +83,51 @@ def _instance_of(cls, rng: random.Random, depth: int = 0):
     return cls(**kwargs)
 
 
+def _message_of(cls, rng: random.Random) -> Message:
+    return Message(
+        src=f"cub:{rng.randrange(16)}",
+        dst="controller",
+        payload=_instance_of(cls, rng),
+        size_bytes=rng.randrange(1, 10**6),
+        kind=rng.choice(["control", "data"]),
+    )
+
+
 @pytest.mark.parametrize("tag", sorted(REGISTRY))
 def test_payload_round_trips(tag):
+    # The hub decodes every message it routes and re-encodes it for the
+    # destination socket, so decode -> encode must reproduce the frame
+    # byte for byte, not only an equal payload.
     cls = REGISTRY[tag]
     for seed in range(20):
-        original = _instance_of(cls, random.Random(f"{tag}-{seed}"))
-        assert decode_payload(encode_payload(original)) == original
+        message = _message_of(cls, random.Random(f"{tag}-{seed}"))
+        frame = encode_message(message)
+        (_, decoded), = decode_frames(frame)
+        assert decoded.payload == message.payload
+        assert encode_message(decoded) == frame
 
 
 @pytest.mark.parametrize("tag", sorted(REGISTRY))
 def test_message_frame_round_trips(tag):
+    # Every split point of every payload type's body, between two
+    # control frames on the same stream.
     cls = REGISTRY[tag]
     for seed in range(5):
-        rng = random.Random(f"msg-{tag}-{seed}")
-        message = Message(
-            src=f"cub:{rng.randrange(16)}",
-            dst="controller",
-            payload=_instance_of(cls, rng),
-            size_bytes=rng.randrange(1, 10**6),
-            kind=rng.choice(["control", "data"]),
+        message = _message_of(cls, random.Random(f"msg-{tag}-{seed}"))
+        stream = (
+            control_frame("_start", epoch=1.0)
+            + encode_message(message)
+            + control_frame("_stop")
         )
-        frames = list(decode_frames(message_frame(message)))
-        assert len(frames) == 1
-        kind, decoded = frames[0]
-        assert kind == "msg"
-        assert decoded.src == message.src
-        assert decoded.dst == message.dst
-        assert decoded.kind == message.kind
-        assert decoded.size_bytes == message.size_bytes
-        assert decoded.msg_id == message.msg_id
-        assert decoded.payload == message.payload
+        decoder = FrameDecoder()
+        frames = []
+        for index in range(len(stream)):
+            frames.extend(decoder.feed_parsed(stream[index:index + 1]))
+        decoder.assert_drained()
+        assert [kind for kind, _ in frames] == ["ctl", "msg", "ctl"]
+        assert frames[0][1]["ctl"] == "_start"
+        assert frames[1][1] == message
+        assert frames[2][1]["ctl"] == "_stop"
 
 
 def test_nested_batch_round_trips_exactly():
@@ -128,26 +140,38 @@ def test_nested_batch_round_trips_exactly():
             MirrorViewerState("client:1#9", 9, 4, 2, 7, 1, 2, 3, 8.25, 7),
         ),
     )
-    assert decode_payload(encode_payload(batch)) == batch
+    (_, decoded), = decode_frames(
+        encode_message(Message("cub:0", "cub:1", batch, 256))
+    )
+    assert decoded.payload == batch
 
 
 def test_decoder_accepts_arbitrary_chunk_boundaries():
     rng = random.Random(7)
-    messages = [
-        Message("cub:0", "cub:1", _instance_of(REGISTRY["vstate"], rng), 100)
-        for _ in range(10)
-    ]
-    stream = b"".join(message_frame(m) for m in messages)
+    expected = []
+    stream = b""
+    for index in range(10):
+        if index % 3 == 0:
+            stream += control_frame("_metrics", node="cub:0", t=float(index))
+            expected.append(("ctl", float(index)))
+        message = Message(
+            "cub:0", "cub:1", _instance_of(REGISTRY["vstate"], rng), 100
+        )
+        stream += encode_message(message)
+        expected.append(("msg", message))
     decoder = FrameDecoder()
-    bodies = []
+    frames = []
     position = 0
     while position < len(stream):
         step = rng.randrange(1, 7)
-        bodies.extend(decoder.feed(stream[position:position + step]))
+        frames.extend(decoder.feed_parsed(stream[position:position + step]))
         position += step
     decoder.assert_drained()
-    decoded = [parse_frame(body)[1] for body in bodies]
-    assert [m.payload for m in decoded] == [m.payload for m in messages]
+    decoded = [
+        (kind, parsed["t"] if kind == "ctl" else parsed)
+        for kind, parsed in frames
+    ]
+    assert decoded == expected
 
 
 def test_control_frames_round_trip():
@@ -161,56 +185,78 @@ def test_control_frames_round_trip():
 # ----------------------------------------------------------------------
 # Rejection: malformed, truncated, hostile
 # ----------------------------------------------------------------------
+def _json_frame(body) -> bytes:
+    data = json.dumps(body).encode("utf-8")
+    return struct.pack(">I", len(data)) + data
+
+
 def test_unregistered_payload_type_rejected_at_encode():
     class NotRegistered:
         pass
 
     with pytest.raises(WireError, match="not wire-registered"):
-        encode_payload(NotRegistered())
+        encode_message(Message("cub:0", "cub:1", NotRegistered(), 64))
 
 
 def test_unknown_tag_rejected_at_decode():
-    with pytest.raises(WireError, match="unknown payload tag"):
-        decode_payload({"_t": "no-such-payload", "x": 1})
+    # An unknown payload id nested inside a batch, not at the top.
+    state = ViewerState("client:0#1", 1, 2, 3, 4, 5, 6.0, 7)
+    batch = ViewerStateBatch(states=(state,))
+    frame = encode_message(Message("cub:0", "cub:1", batch, 64))
+    body = bytearray(frame[4:])
+    # header 3 + envelope 13 + two 4-byte-prefixed 5-byte addresses,
+    # then the batch's _B_OBJ code and id, then its states _B_SEQ code
+    # and count, then the nested state's _B_OBJ code and id.
+    nested_at = 3 + 13 + 9 + 9 + 2 + 5
+    assert body[nested_at] == 0x07
+    body[nested_at + 1] = 0xFE  # no registry id 254
+    mangled = struct.pack(">I", len(body)) + bytes(body)
+    with pytest.raises(WireError, match="unknown binary payload id 254"):
+        FrameDecoder().feed_parsed(mangled)
 
 
 def test_unknown_field_rejected_at_decode():
-    encoded = encode_payload(
-        ViewerState("client:0#1", 1, 2, 3, 4, 5, 6.0, 7)
-    )
-    encoded["smuggled"] = True
-    with pytest.raises(WireError, match="no field 'smuggled'"):
-        decode_payload(encoded)
+    # A value smuggled after the payload's last field.
+    state = ViewerState("client:0#1", 1, 2, 3, 4, 5, 6.0, 7)
+    frame = encode_message(Message("cub:0", "cub:1", state, 64))
+    body = frame[4:] + b"\x01"  # a trailing _B_TRUE
+    mangled = struct.pack(">I", len(body)) + body
+    with pytest.raises(WireError, match="trailing byte"):
+        FrameDecoder().feed_parsed(mangled)
 
 
 def test_missing_required_field_rejected_at_decode():
-    encoded = encode_payload(
-        ViewerState("client:0#1", 1, 2, 3, 4, 5, 6.0, 7)
-    )
-    del encoded["viewer_id"]
-    with pytest.raises(WireError, match="bad 'vstate' payload"):
-        decode_payload(encoded)
+    # The payload's last field (an i64: type code + 8 bytes) is absent.
+    state = ViewerState("client:0#1", 1, 2, 3, 4, 5, 6.0, 7)
+    frame = encode_message(Message("cub:0", "cub:1", state, 64))
+    body = frame[4:-9]
+    mangled = struct.pack(">I", len(body)) + body
+    with pytest.raises(WireError, match="truncated binary value"):
+        FrameDecoder().feed_parsed(mangled)
 
 
 def test_wrong_wire_version_rejected():
-    frame = control_frame("_start", epoch=0.0)
-    (body,) = FrameDecoder().feed(frame)
-    body["v"] = WIRE_VERSION + 1
+    frame = _json_frame({"v": WIRE_VERSION + 1, "ctl": "_start"})
     with pytest.raises(WireError, match="unsupported wire version"):
-        parse_frame(body)
+        FrameDecoder().feed_parsed(frame)
 
 
 def test_oversized_length_prefix_rejected_before_buffering():
     hostile = struct.pack(">I", MAX_FRAME_BYTES + 1) + b"x"
     with pytest.raises(WireError, match="exceeds maximum"):
-        FrameDecoder().feed(hostile)
+        FrameDecoder().feed_parsed(hostile)
 
 
 def test_truncated_stream_detected():
-    frame = control_frame("_stop")
+    state = ViewerState("client:0#1", 1, 2, 3, 4, 5, 6.0, 7)
+    stream = control_frame("_stop") + encode_message(
+        Message("cub:0", "cub:1", state, 64)
+    )
     decoder = FrameDecoder()
-    decoder.feed(frame[:-3])
-    assert decoder.pending_bytes() == len(frame) - 3
+    frames = decoder.feed_parsed(stream[:-3])
+    assert [kind for kind, _ in frames] == ["ctl"]
+    message_bytes = len(stream) - len(control_frame("_stop"))
+    assert decoder.pending_bytes() == message_bytes - 3
     with pytest.raises(WireError, match="truncated"):
         decoder.assert_drained()
 
@@ -218,15 +264,30 @@ def test_truncated_stream_detected():
 def test_garbage_body_rejected():
     garbage = struct.pack(">I", 4) + b"\xff\xfe\x00\x01"
     with pytest.raises(WireError, match="undecodable frame body"):
-        FrameDecoder().feed(garbage)
+        FrameDecoder().feed_parsed(garbage)
 
 
 def test_frame_missing_envelope_field_rejected():
-    frame = control_frame("x")
-    (body,) = FrameDecoder().feed(frame)
-    del body["ctl"]  # now neither a control nor a complete message frame
-    with pytest.raises(WireError, match="missing envelope field"):
-        parse_frame(body)
+    # A binary body that ends inside the fixed-width envelope.
+    state = ViewerState("client:0#1", 1, 2, 3, 4, 5, 6.0, 7)
+    frame = encode_message(Message("cub:0", "cub:1", state, 64))
+    body = frame[4:12]  # header (3 bytes) + 5 of the 13 envelope bytes
+    mangled = struct.pack(">I", len(body)) + body
+    with pytest.raises(WireError, match="truncated binary envelope"):
+        FrameDecoder().feed_parsed(mangled)
+
+
+def test_json_body_without_ctl_rejected():
+    # Protocol messages only travel as binary frames: a JSON message
+    # envelope is not a control record and must not be delivered.
+    frame = _json_frame({
+        "v": WIRE_VERSION, "src": "cub:0", "dst": "cub:1",
+        "kind": "control", "size": 64, "id": 1, "p": None,
+    })
+    with pytest.raises(WireError, match="'ctl'"):
+        FrameDecoder().feed_parsed(frame)
+    with pytest.raises(WireError, match="'ctl'"):
+        parse_frame({"v": WIRE_VERSION})
 
 
 def test_duplicate_tag_registration_rejected():
@@ -250,7 +311,7 @@ def _binary_frame_of(payload, **envelope):
         size_bytes=envelope.pop("size_bytes", 64),
         **envelope,
     )
-    return message, binary_message_frame(message)
+    return message, encode_message(message)
 
 
 @pytest.mark.parametrize("tag", sorted(REGISTRY))
@@ -287,26 +348,27 @@ def test_binary_round_trips_u64_fingerprints():
 def test_binary_rejects_int_beyond_u64():
     oversized = ViewerState("client:0#1", 1 << 64, 2, 3, 4, 5, 6.0, 7)
     with pytest.raises(WireError, match="out of binary range"):
-        binary_message_frame(Message("cub:0", "cub:1", oversized, 64))
+        encode_message(Message("cub:0", "cub:1", oversized, 64))
 
 
 def test_mixed_codec_stream_decodes():
-    # Frames are self-describing (first body byte), so one decoder
-    # accepts an interleaved json/binary stream — what a connection
-    # looks like around the codec_ack switchover.
+    # Frames are self-describing (first body byte), so one decoder reads
+    # JSON control frames and binary message frames off one stream.
     rng = random.Random(11)
     messages = [
         Message("cub:0", "cub:1", _instance_of(REGISTRY["vstate"], rng), 100)
         for _ in range(8)
     ]
     stream = b"".join(
-        encode_message(m, CODEC_BINARY if i % 2 else CODEC_JSON)
+        encode_message(m) + control_frame("_metrics", seq=i)
         for i, m in enumerate(messages)
     )
     decoder = FrameDecoder()
     decoded = decoder.feed_parsed(stream)
     decoder.assert_drained()
-    assert [m for _, m in decoded] == messages
+    assert [m for kind, m in decoded if kind == "msg"] == messages
+    assert [b["seq"] for kind, b in decoded if kind == "ctl"] == list(range(8))
+    assert [kind for kind, _ in decoded] == ["msg", "ctl"] * 8
 
 
 def test_binary_bad_magic_rejected():
@@ -348,28 +410,14 @@ def test_binary_unknown_payload_id_rejected():
         FrameDecoder().feed_parsed(mangled)
 
 
-def test_encode_message_rejects_unknown_codec():
-    message, _ = _binary_frame_of(ViewerState("c#1", 1, 2, 3, 4, 5, 6.0, 7))
-    with pytest.raises(WireError, match="unknown codec"):
-        encode_message(message, "gzip")
-
-
-def test_choose_codec_prefers_preferred_then_first_mutual():
-    assert choose_codec(["json", "binary"], CODEC_BINARY) == CODEC_BINARY
-    assert choose_codec(["json"], CODEC_BINARY) == CODEC_JSON
-    assert choose_codec([], CODEC_BINARY) == CODEC_JSON
-    # Preferred codec the peer lacks: fall back to the best mutual one
-    # in SUPPORTED_CODECS preference order.
-    assert choose_codec(["gzip", "binary"], CODEC_JSON) == CODEC_BINARY
-    assert choose_codec(["gzip"], CODEC_BINARY) == CODEC_JSON
-
-
 def test_wire_stats_counts_frames_and_bytes_per_codec():
+    # A control frame counts under ``json``, a message under ``binary``.
     registry = MetricsRegistry()
     stats = WireStats(registry, node="test")
     message, _ = _binary_frame_of(ViewerState("c#1", 1, 2, 3, 4, 5, 6.0, 7))
-    json_frame = encode_message(message, CODEC_JSON, stats)
-    binary_frame = encode_message(message, CODEC_BINARY, stats)
+    json_frame = control_frame("_metrics", node="test")
+    stats.on_encoded(CODEC_JSON, len(json_frame))
+    binary_frame = encode_message(message, stats)
     decoder = FrameDecoder(stats=stats)
     decoder.feed_parsed(json_frame + binary_frame)
     snapshot = registry.snapshot()

@@ -11,10 +11,7 @@ import pathlib
 import re
 
 from repro.live.wire import (
-    CODEC_BINARY,
-    CODEC_JSON,
     MAX_FRAME_BYTES,
-    SUPPORTED_CODECS,
     WIRE_VERSION,
     WIRE_VERSION_BINARY,
     payload_registry,
@@ -28,7 +25,6 @@ WIRE_MD = REPO_ROOT / "docs" / "WIRE.md"
 #: documented (in backticks) in the control-frame table.
 CONTROL_VERBS = (
     "hello",
-    "codec_ack",
     "_start",
     "_metrics",
     "_stop",
@@ -121,6 +117,3 @@ class TestProtocolConstantsDocumented:
         assert str(WIRE_VERSION) == "1" and '"v": 1' in doc
         assert WIRE_VERSION_BINARY == 2
         assert "MAX_FRAME_BYTES" in doc and MAX_FRAME_BYTES == 1 << 20
-        for codec in SUPPORTED_CODECS:
-            assert codec in (CODEC_JSON, CODEC_BINARY)
-            assert f"`{codec}`" in doc or codec in doc

@@ -163,12 +163,11 @@ def _bench_config(base: TigerConfig, placement: Optional[str]) -> TigerConfig:
 
 
 def _kernel_build(
-    seed: int, sim_seconds: float, shards: int = 1,
-    placement: Optional[str] = None,
+    seed: int, sim_seconds: float, placement: Optional[str] = None
 ):
     def build() -> Tuple[TigerSystem, float]:
         config = _bench_config(paper_config(), placement)
-        system = TigerSystem(config, seed=seed, shards=shards)
+        system = TigerSystem(config, seed=seed)
         system.add_standard_content(num_files=8, duration_s=240.0)
         return system, sim_seconds
 
@@ -176,12 +175,11 @@ def _kernel_build(
 
 
 def _fig8_build(
-    seed: int, sim_seconds: float, shards: int = 1,
-    placement: Optional[str] = None,
+    seed: int, sim_seconds: float, placement: Optional[str] = None
 ):
     def build() -> Tuple[TigerSystem, float]:
         config = _bench_config(paper_config(), placement)
-        system = TigerSystem(config, seed=seed, shards=shards)
+        system = TigerSystem(config, seed=seed)
         system.add_standard_content(num_files=8, duration_s=240.0)
         workload = ContinuousWorkload(system)
         workload.add_streams(system.config.num_slots)
@@ -191,42 +189,37 @@ def _fig8_build(
 
 
 def _run_kernel(
-    seed: int, quick: bool, profiler=None, shards: int = 1,
-    placement: Optional[str] = None,
+    seed: int, quick: bool, profiler=None, placement: Optional[str] = None
 ) -> Tuple[RunOutcome, Dict]:
     sim_seconds = 30.0 if quick else 120.0
     outcome = _timed_system_run(
-        _kernel_build(seed, sim_seconds, shards, placement), profiler
+        _kernel_build(seed, sim_seconds, placement), profiler
     )
     params = {
         "config": "paper",
         "streams": 0,
         "sim_seconds": sim_seconds,
-        "shards": shards,
     }
     return outcome, params
 
 
 def _run_fig8(
-    seed: int, quick: bool, profiler=None, shards: int = 1,
-    placement: Optional[str] = None,
+    seed: int, quick: bool, profiler=None, placement: Optional[str] = None
 ) -> Tuple[RunOutcome, Dict]:
     sim_seconds = 10.0 if quick else 30.0
     outcome = _timed_system_run(
-        _fig8_build(seed, sim_seconds, shards, placement), profiler
+        _fig8_build(seed, sim_seconds, placement), profiler
     )
     params = {
         "config": "paper",
         "streams": paper_config().num_slots,
         "sim_seconds": sim_seconds,
-        "shards": shards,
     }
     return outcome, params
 
 
 def _run_chaos(
-    seed: int, quick: bool, profiler=None, shards: int = 1,
-    placement: Optional[str] = None,
+    seed: int, quick: bool, profiler=None, placement: Optional[str] = None
 ) -> Tuple[RunOutcome, Dict]:
     # Imported lazily so a plain kernel bench never touches the faults
     # machinery.
@@ -241,7 +234,6 @@ def _run_chaos(
         load=0.5,
         duration=duration,
         profiler=profiler,
-        shards=shards,
     )
     started = perf_counter()
     harness.run()
@@ -258,7 +250,6 @@ def _run_chaos(
         "load": 0.5,
         "plan": plan.name,
         "sim_seconds": duration,
-        "shards": shards,
     }
     return outcome, params
 
@@ -456,18 +447,14 @@ def _base_result(name: str, mode: str, seed: int, params: Dict) -> Dict[str, Any
 
 
 def _instrumented(
-    run, seed: int, quick: bool, shards: int = 1,
-    placement: Optional[str] = None,
+    run, seed: int, quick: bool, placement: Optional[str] = None
 ) -> Tuple[List[Dict], Dict, Dict]:
     """Second pass: profiler + tracemalloc.  Returns (handlers, memory,
     counters) — counters are cross-checked against the clean pass."""
     profiler = EventLoopProfiler()
     tracemalloc.start()
     try:
-        outcome, _ = run(
-            seed, quick, profiler=profiler, shards=shards,
-            placement=placement,
-        )
+        outcome, _ = run(seed, quick, profiler=profiler, placement=placement)
         current, peak = tracemalloc.get_traced_memory()
         stats = tracemalloc.take_snapshot().statistics("filename")
     finally:
@@ -500,11 +487,8 @@ def run_workload(
     :param quick: Reduced-scale variant (CI smoke).
     :param with_memory: Skip the instrumented pass when False (faster;
         ``handlers``/``memory`` are then empty).
-    :param shards: ``kernel``/``fig8``/``chaos`` run on an in-process
-        :class:`~repro.sim.shard.ShardedSimulator` with this many lanes
-        (1 = the classic single heap); for ``scale`` it is the spawn
-        worker count driving the partitioned tiers.  Protocol counters
-        are shard-invariant — the baseline gate holds for any value.
+    :param shards: Spawn-worker count driving the ``scale`` tier's
+        partitioned groups; every other workload ignores it.
     :param placement: Slot-placement policy override for the
         ``kernel``/``fig8``/``chaos`` tiers (None keeps each tier's
         baseline config; the ``placement`` tier always compares all
@@ -547,13 +531,13 @@ def run_workload(
     runner = _WORKLOAD_RUNNERS.get(name)
     if runner is None:
         raise BenchError(f"unknown workload {name!r} (have {WORKLOADS})")
-    clean, params = runner(seed, quick, shards=shards, placement=placement)
+    clean, params = runner(seed, quick, placement=placement)
     result = _base_result(name, "quick" if quick else "full", seed, params)
     result["perf"] = clean.perf_dict()
     result["counters"] = clean.counters
     if with_memory:
         handlers, memory, counters = _instrumented(
-            runner, seed, quick, shards=shards, placement=placement
+            runner, seed, quick, placement=placement
         )
         if counters != clean.counters:
             raise BenchError(
@@ -814,8 +798,8 @@ def run_bench(
 
     Writes one ``BENCH_<name>.json`` per workload into ``out_dir``; with
     ``baseline_dir``, diffs each result against the committed baseline
-    and returns 1 on any regression.  ``shards`` is forwarded to every
-    workload (see :func:`run_workload`).
+    and returns 1 on any regression.  ``shards`` sets the ``scale``
+    tier's spawn-worker count (see :func:`run_workload`).
     """
     names = list(workloads) if workloads else list(WORKLOADS)
     for name in names:

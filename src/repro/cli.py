@@ -103,7 +103,6 @@ def _build_system(args, tracer: Optional[Tracer] = None) -> TigerSystem:
         config,
         seed=args.seed,
         tracer=tracer,
-        shards=getattr(args, "shards", 1),
         helpers=getattr(args, "helpers", 0),
         helper_capacity=getattr(args, "helper_capacity", 0),
         helper_policy=getattr(args, "helper_policy", "lru"),
@@ -214,9 +213,6 @@ def _bad_victim(args, config) -> bool:
 
 
 def cmd_demo(args) -> int:
-    if args.shards < 1:
-        print("error: --shards must be >= 1")
-        return 2
     if _bad_helpers(args):
         return 2
     tracer = _make_tracer(args)
@@ -302,11 +298,15 @@ def cmd_failover(args) -> int:
 
 
 def cmd_capacity(args) -> int:
-    config = TigerConfig(
-        num_cubs=args.cubs,
-        disks_per_cub=args.disks,
-        decluster=args.decluster,
-    )
+    try:
+        config = TigerConfig(
+            num_cubs=args.cubs,
+            disks_per_cub=args.disks,
+            decluster=args.decluster,
+        )
+    except ValueError as error:
+        print(f"error: {error}")
+        return 2
     print(f"{config.num_cubs} cubs x {config.disks_per_cub} disks "
           f"(decluster {config.decluster}):")
     print(f"  streams/disk (incl. failed-mode reserve): "
@@ -324,12 +324,6 @@ def cmd_chaos(args) -> int:
     from repro.faults import ChaosHarness, InvariantViolation, standard_chaos_plan
 
     config = _cli_config(args)
-    if args.seconds <= 0:
-        print("error: --seconds must be positive")
-        return 2
-    if args.shards < 1:
-        print("error: --shards must be >= 1")
-        return 2
     if _bad_helpers(args):
         return 2
     if _bad_victim(args, config):
@@ -363,7 +357,6 @@ def cmd_chaos(args) -> int:
         num_files=args.files,
         file_seconds=args.file_seconds,
         tracer=tracer,
-        shards=args.shards,
         helpers=args.helpers,
         helper_capacity=args.helper_capacity,
         helper_policy=args.helper_policy,
@@ -400,12 +393,6 @@ def cmd_restripe(args) -> int:
     from repro.storage.restripe import estimate_restripe_time
 
     config = _cli_config(args)
-    if args.seconds <= 0:
-        print("error: --seconds must be positive")
-        return 2
-    if not 0.0 < args.load <= 1.0:
-        print("error: --load must be in (0, 1]")
-        return 2
     weights_spec = args.weights
     if weights_spec is None:
         # Default drill: every cub's last local disk is a new
@@ -649,6 +636,32 @@ def cmd_cluster(args) -> int:
     return 0 if report.passed else EXIT_CLUSTER_MISMATCH
 
 
+def _bounded(convert, accept, rule: str):
+    """An argparse ``type`` that converts, then range-checks, a value.
+
+    A rejected value makes argparse print an ``error:`` line naming the
+    option and exit 2, before any system is built.
+    """
+
+    def parse(text: str):
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    # argparse names the type in its "invalid <name> value" message.
+    parse.__name__ = convert.__name__
+    return parse
+
+
+def _at_least(convert, low):
+    return _bounded(convert, lambda value: value >= low, f">= {low}")
+
+
+_positive = _bounded(float, lambda value: value > 0, "> 0")
+_load_fraction = _bounded(float, lambda value: 0 < value <= 1, "in (0, 1]")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     subparsers = parser.add_subparsers(dest="command", required=True)
@@ -657,8 +670,15 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--paper", action="store_true",
                          help="use the 14-cub paper configuration")
         sub.add_argument("--seed", type=int, default=0)
-        sub.add_argument("--files", type=int, default=8)
-        sub.add_argument("--file-seconds", type=float, default=240.0)
+        sub.add_argument("--files", type=_at_least(int, 1), default=8)
+        sub.add_argument("--file-seconds", type=_positive, default=240.0)
+
+    def seconds_flag(sub, default):
+        sub.add_argument("--seconds", type=_positive, default=default)
+
+    def load_flag(sub, help=None):
+        sub.add_argument("--load", type=_load_fraction, default=0.5,
+                         help=help)
 
     def helper_tier(sub, default_helpers=0, default_capacity=0,
                     default_policy="lru"):
@@ -720,12 +740,8 @@ def build_parser() -> argparse.ArgumentParser:
     demo = subparsers.add_parser("demo", help="run and inspect a system")
     common(demo)
     observability(demo)
-    demo.add_argument("--streams", type=int, default=12)
-    demo.add_argument("--seconds", type=float, default=30.0)
-    demo.add_argument("--shards", type=int, default=1,
-                      help="run on a partitioned kernel with this many "
-                           "cub-group shard lanes (1 = single heap; "
-                           "results are bit-identical either way)")
+    demo.add_argument("--streams", type=_at_least(int, 0), default=12)
+    seconds_flag(demo, 30.0)
     helper_tier(demo)
     placement_flag(demo)
     restripe_flags(demo)
@@ -733,9 +749,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     failover = subparsers.add_parser("failover", help="reconfiguration drill")
     common(failover)
-    failover.add_argument("--load", type=float, default=0.5)
+    load_flag(failover)
     failover.add_argument("--victim", type=int, default=1)
-    failover.add_argument("--seconds", type=float, default=45.0)
+    seconds_flag(failover, 45.0)
     failover.set_defaults(func=cmd_failover)
 
     capacity = subparsers.add_parser("capacity", help="derived capacity")
@@ -747,14 +763,10 @@ def build_parser() -> argparse.ArgumentParser:
     chaos = subparsers.add_parser("chaos", help="fault-injection soak")
     common(chaos)
     observability(chaos)
-    chaos.add_argument("--load", type=float, default=0.5)
-    chaos.add_argument("--seconds", type=float, default=120.0)
+    load_flag(chaos)
+    seconds_flag(chaos, 120.0)
     chaos.add_argument("--drop-rate", type=float, default=0.01)
     chaos.add_argument("--victim", type=int, default=1)
-    chaos.add_argument("--shards", type=int, default=1,
-                       help="run on a partitioned kernel with this many "
-                            "cub-group shard lanes (1 = single heap; the "
-                            "replay fingerprint is identical either way)")
     helper_tier(chaos)
     placement_flag(chaos)
     restripe_flags(chaos)
@@ -771,9 +783,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common(restripe)
     observability(restripe)
-    restripe.add_argument("--load", type=float, default=0.5,
-                          help="viewer load fraction while restriping")
-    restripe.add_argument("--seconds", type=float, default=90.0)
+    load_flag(restripe, help="viewer load fraction while restriping")
+    seconds_flag(restripe, 90.0)
     restripe.add_argument("--weights", metavar="WEIGHTS", default=None,
                           help="disk capacity weights (see demo "
                                "--restripe); default doubles every "
@@ -794,10 +805,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(trace)
     trace.add_argument("--out", default="trace.json",
                        help="output path (default: trace.json)")
-    trace.add_argument("--load", type=float, default=0.5)
+    load_flag(trace)
     trace.add_argument("--victim", type=int, default=1)
     trace.add_argument("--warmup", type=float, default=10.0)
-    trace.add_argument("--seconds", type=float, default=20.0)
+    seconds_flag(trace, 20.0)
     trace.add_argument("--recover", action="store_true",
                        help="also recover the victim and trace reintegration")
     trace.set_defaults(func=cmd_trace)
@@ -805,9 +816,9 @@ def build_parser() -> argparse.ArgumentParser:
     metrics = subparsers.add_parser(
         "metrics", help="print/export the metrics registry after a run")
     common(metrics)
-    metrics.add_argument("--load", type=float, default=0.5)
+    load_flag(metrics)
     metrics.add_argument("--warmup", type=float, default=10.0)
-    metrics.add_argument("--seconds", type=float, default=50.0)
+    seconds_flag(metrics, 50.0)
     metrics.add_argument("--profile", action="store_true",
                          help="profile event-loop handlers (wall time)")
     metrics.add_argument("--out", default=None,
@@ -837,10 +848,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "baseline gate (<=0 disables the perf check; "
                             "counters always compare exactly)")
     bench.add_argument("--shards", type=int, default=1,
-                       help="kernel/fig8/chaos: shard lanes for the "
-                            "in-process partitioned kernel; scale: spawn "
-                            "workers for the partitioned tiers (counters "
-                            "are shard-invariant)")
+                       help="scale: spawn workers for the partitioned "
+                            "tiers (other workloads ignore it)")
     # None defaults: the helpers tier keeps its committed-baseline
     # shape unless explicitly overridden.
     helper_tier(bench, default_helpers=None, default_capacity=None,

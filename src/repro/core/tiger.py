@@ -23,12 +23,10 @@ from repro.core.viewerstate import reset_instance_ids
 from repro.helpers.directory import HelperDirectory
 from repro.helpers.node import HelperNode
 from repro.net.message import REQUEST_BYTES, Message, reset_message_ids
-from repro.placement import group_pin
 from repro.net.switch import SwitchedNetwork
 from repro.obs.registry import MetricsRegistry
 from repro.sim.core import Simulator
 from repro.sim.rng import RngRegistry
-from repro.sim.shard import ShardedSimulator
 from repro.sim.trace import Tracer
 from repro.storage.blockindex import BlockIndex
 from repro.storage.catalog import Catalog, TigerFile
@@ -48,32 +46,18 @@ class TigerSystem:
         forward_copies: int = 2,
         registry: Optional[MetricsRegistry] = None,
         batched_service: bool = True,
-        shards: int = 1,
         helpers: int = 0,
         helper_capacity: int = 0,
         helper_policy: str = "lru",
     ) -> None:
         self.config = config
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
         if helpers < 0:
             raise ValueError(f"helpers must be >= 0, got {helpers}")
         if helper_capacity < 0:
             raise ValueError(
                 f"helper_capacity must be >= 0, got {helper_capacity}"
             )
-        self.shards = shards
-        if shards == 1:
-            self.sim = Simulator()
-        else:
-            # Partitioned kernel: contiguous cub groups per lane, with
-            # the fabric's base propagation latency as the conservative
-            # lookahead bound (the minimum cross-shard link latency).
-            # Protocol counters are bit-identical to the single heap for
-            # any shard count — see repro/sim/shard.py.
-            self.sim = ShardedSimulator(
-                shards, lookahead=config.net_base_latency
-            )
+        self.sim = Simulator()
         # Rewind the message-id and play-instance-id sequences so a run
         # is a pure function of (seed, config): back-to-back systems in
         # one process allocate identical ids instead of continuing a
@@ -130,12 +114,6 @@ class TigerSystem:
                 batched_service=batched_service,
             )
             self.network.register(cub, config.cub_nic_bps)
-            if shards > 1:
-                # Contiguous groups keep the mirror ring's viewer-state
-                # forwarding (cub i -> i-1) on-shard except at the group
-                # boundary, which is exactly the thin slice the boundary
-                # channels are meant to carry.
-                self.sim.pin(cub.address, group_pin(cub_id, shards, config.num_cubs))
             self.cubs.append(cub)
 
         self.controller = Controller(
@@ -171,10 +149,6 @@ class TigerSystem:
                 registry=self.registry,
             )
             self.network.register(helper, config.cub_nic_bps)
-            if shards > 1:
-                self.sim.pin(
-                    helper.address, group_pin(helper_id, shards, helpers)
-                )
             self.helpers.append(helper)
 
         self.clients: List[ViewerClient] = []
@@ -226,9 +200,9 @@ class TigerSystem:
         that will execute ``plan`` in the background once started.
 
         The restriper is a network node like any other — it rides the
-        switched fabric (and the shard/lookahead machinery) with the
-        same NIC model as a cub.  Call ``system.restriper.start()`` (or
-        schedule it) to begin moving blocks.
+        switched fabric with the same NIC model as a cub.  Call
+        ``system.restriper.start()`` (or schedule it) to begin moving
+        blocks.
         """
         from repro.storage.rebalance import OnlineRestriper
 
@@ -401,28 +375,6 @@ class TigerSystem:
               help="Events dispatched by the simulation kernel",
               unit="events").set(self.sim.events_dispatched)
         gauge("sim.now", help="Simulated clock at export", unit="s").set(now)
-        shard_stats = getattr(self.sim, "shard_stats", None)
-        if shard_stats is not None:
-            stats = shard_stats()
-            gauge("sim.shards", help="Shard lanes in the partitioned kernel",
-                  unit="shards").set(stats["shards"])
-            gauge("sim.shard_windows",
-                  help="Conservative lookahead windows completed",
-                  unit="windows").set(stats["windows"])
-            gauge("sim.cross_shard_messages",
-                  help="Events carried across shard boundaries",
-                  unit="events").set(stats["cross_shard_messages"])
-            gauge("sim.null_messages",
-                  help="Clock-only boundary-channel advancements",
-                  unit="messages").set(stats["null_messages"])
-            gauge("sim.lookahead_violations",
-                  help="Cross-shard sends undercutting the lookahead bound "
-                       "(must stay zero for a PDES-safe partitioning)",
-                  unit="events").set(stats["lookahead_violations"])
-            for lane_index, lane_events in enumerate(stats["lane_events"]):
-                gauge("sim.lane_events",
-                      help="Events dispatched on one shard lane",
-                      unit="events", lane=lane_index).set(lane_events)
         if self.helpers:
             gauge("helper.origin_offload_ratio",
                   help="Fraction of viewer blocks served from helper "

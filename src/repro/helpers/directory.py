@@ -4,8 +4,8 @@ Tiger has no lookup service to ask "who caches this file?", and adding
 one would put a round trip ahead of every start request.  Instead the
 directory is a pure function of the deployment shape — helper count,
 helper capacity, catalog size — via the same contiguous-group formula
-(:func:`repro.placement.group_pin`) that pins cubs to shard lanes and
-hub listeners, so every client and every helper agree on the mapping
+(:func:`repro.placement.group_pin`) that spreads cubs across hub
+listeners, so every client and every helper agree on the mapping
 without exchanging a single message.
 
 Eligibility is strict: a directory with no helpers *or* zero cache

@@ -18,9 +18,8 @@ connection to the driver, which routes by destination address
 switched fabric, keeps join/handshake trivial, and gives the driver a
 complete vantage point: it sees every frame, every disconnect, and
 every metrics snapshot.  The driver listens on ``scenario.hubs``
-sockets — one hub per cub *group*, the same group boundaries
-``sim/shard.py`` partitions on (``hub_of(c) = c * hubs // cubs``) —
-so connection handling shards across listener tasks while the routing
+sockets — one hub per contiguous cub *group*
+(``hub_of(c) = c * hubs // cubs``) — so connection handling shards across listener tasks while the routing
 table stays global.  Each connection gets a send queue with high/low
 watermark backpressure accounting and a hard cap (see
 :class:`NodeConnection`), so one slow peer cannot wedge the hub.
@@ -148,7 +147,7 @@ class ClusterScenario:
     #: Catalog popularity skew for random arrival modes.
     zipf_exponent: float = DEFAULT_ZIPF_EXPONENT
     #: Listener sockets to shard node connections across — one per
-    #: cub group, same boundaries as ``sim/shard.py``.
+    #: contiguous cub group (:func:`repro.placement.group_pin`).
     hubs: int = 1
     #: Edge helper processes to boot (0 disables the cache tier).
     helpers: int = 0
@@ -340,10 +339,8 @@ class ClusterScenario:
     def hub_of(self, cub_id: int) -> int:
         """Which hub listener a cub connects to.
 
-        Same group-boundary formula ``sim/shard.py`` uses to partition
-        cubs across shard lanes (see :func:`repro.placement.group_pin`),
-        so a live multi-hub topology shards connections along the exact
-        lines the partitioned simulator partitions events.
+        Cubs split into ``hubs`` contiguous groups of near-equal size
+        (see :func:`repro.placement.group_pin`).
         """
         return group_pin(cub_id, self.hubs, self.cubs)
 

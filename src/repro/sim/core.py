@@ -33,80 +33,6 @@ class SimulationError(RuntimeError):
     """Raised for kernel-level misuse (e.g. scheduling into the past)."""
 
 
-class TombstoneHeap:
-    """A time-ordered event heap with lazy tombstone compaction.
-
-    This is the storage half of the kernel, factored out so the
-    partitioned kernel (:class:`repro.sim.shard.ShardedSimulator`) can
-    run one timeline per shard lane with identical pop/peek/compaction
-    semantics.  Two invariants matter to callers:
-
-    * :meth:`pop` and :meth:`peek` never surface a cancelled event, and
-      purged tombstones are **not** otherwise observable — a cancelled
-      event consumes no dispatch budget and never advances a clock.
-    * Compaction (triggered from :meth:`note_cancelled`) preserves the
-      dispatch order exactly: event ordering is a total order on
-      ``(time, priority, seq)``, so rebuilding the heap without
-      tombstones cannot reorder the survivors.
-    """
-
-    __slots__ = ("_heap", "_cancelled")
-
-    def __init__(self) -> None:
-        self._heap: List[Event] = []
-        self._cancelled = 0
-
-    def __len__(self) -> int:
-        """Entries physically in the heap, tombstones included."""
-        return len(self._heap)
-
-    @property
-    def cancelled(self) -> int:
-        """Cancelled events still sitting in the heap (lazy tombstones)."""
-        return self._cancelled
-
-    def push(self, event: Event) -> None:
-        heapq.heappush(self._heap, event)
-
-    def pop(self) -> Optional[Event]:
-        """Pop the next active event, silently purging tombstones."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            event.owner = None
-            if event.cancelled:
-                self._cancelled -= 1
-                continue
-            return event
-        return None
-
-    def peek(self) -> Optional[Event]:
-        """The next active event (still in the heap), or None."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap).owner = None
-            self._cancelled -= 1
-        return self._heap[0] if self._heap else None
-
-    def note_cancelled(self) -> None:
-        """An event currently in this heap was cancelled.
-
-        When tombstones outnumber live events (past a fixed floor), the
-        heap is rebuilt without them: cancel-heavy workloads (deadman
-        timers, per-service bookkeeping) otherwise carry every tombstone
-        until its pop, inflating both memory and per-push compare cost.
-        """
-        self._cancelled += 1
-        if (
-            self._cancelled > _COMPACT_MIN_TOMBSTONES
-            and self._cancelled * 2 > len(self._heap)
-        ):
-            for event in self._heap:
-                if event.cancelled:
-                    event.owner = None
-            self._heap = [event for event in self._heap if not event.cancelled]
-            heapq.heapify(self._heap)
-            self._cancelled = 0
-
-
 class Simulator:
     """A deterministic discrete-event simulator.
 
@@ -131,7 +57,10 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        self._timeline = TombstoneHeap()
+        #: The raw event heap; tests read it directly.
+        self._heap: List[Event] = []
+        #: Cancelled events still sitting in the heap (lazy tombstones).
+        self._cancelled_in_heap = 0
         self._events_dispatched = 0
         self._running = False
         self._stopped = False
@@ -151,16 +80,6 @@ class Simulator:
     def events_dispatched(self) -> int:
         """Total number of callbacks executed so far."""
         return self._events_dispatched
-
-    @property
-    def _heap(self) -> List[Event]:
-        """The raw event heap (tests and debugging only)."""
-        return self._timeline._heap
-
-    @property
-    def _cancelled_in_heap(self) -> int:
-        """Cancelled events still sitting in the heap (lazy tombstones)."""
-        return self._timeline.cancelled
 
     # ------------------------------------------------------------------
     # Profiling
@@ -205,7 +124,7 @@ class Simulator:
             )
         event = Event(time, fn, args, priority=priority)
         event.owner = self
-        self._timeline.push(event)
+        heapq.heappush(self._heap, event)
         return event
 
     def call_after(
@@ -226,11 +145,19 @@ class Simulator:
     def step(self) -> bool:
         """Dispatch the next active event.
 
-        Returns False when the heap holds no active events.
+        Returns False when the heap holds no active events.  Tombstones
+        popped on the way are purged: a cancelled event consumes no
+        dispatch budget and never advances the clock.
         """
-        event = self._timeline.pop()
-        if event is None:
-            return False
+        heap = self._heap
+        while True:
+            if not heap:
+                return False
+            event = heapq.heappop(heap)
+            event.owner = None
+            if not event.cancelled:
+                break
+            self._cancelled_in_heap -= 1
         self._now = event.time
         self._events_dispatched += 1
         if self._profiler is None:
@@ -245,12 +172,36 @@ class Simulator:
 
     def peek_time(self) -> Optional[float]:
         """Time of the next active event, or None if the heap is empty."""
-        event = self._timeline.peek()
-        return event.time if event is not None else None
+        heap = self._heap
+        while heap and heap[0].cancelled:
+            heapq.heappop(heap).owner = None
+            self._cancelled_in_heap -= 1
+        return heap[0].time if heap else None
 
     def _note_cancelled(self) -> None:
-        """An event currently in the heap was cancelled (Event.cancel)."""
-        self._timeline.note_cancelled()
+        """An event currently in the heap was cancelled (Event.cancel).
+
+        When tombstones outnumber live events (past a fixed floor), the
+        heap is rebuilt without them: cancel-heavy workloads (deadman
+        timers, per-service bookkeeping) otherwise carry every tombstone
+        until its pop, inflating both memory and per-push compare cost.
+        Event ordering is a total order on ``(time, priority, seq)``, so
+        the rebuild cannot reorder the survivors.
+        """
+        self._cancelled_in_heap += 1
+        if (
+            self._cancelled_in_heap > _COMPACT_MIN_TOMBSTONES
+            and self._cancelled_in_heap * 2 > len(self._heap)
+        ):
+            live = []
+            for event in self._heap:
+                if event.cancelled:
+                    event.owner = None
+                else:
+                    live.append(event)
+            heapq.heapify(live)
+            self._heap = live
+            self._cancelled_in_heap = 0
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run until the heap drains, ``until`` is reached, or ``max_events``.

@@ -58,3 +58,40 @@ class TestCommands:
         )
         assert code == 0
         assert output.exists()
+
+
+def _exit_code(argv):
+    """Run the CLI; argparse rejections surface as SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exit_:
+        return exit_.code
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["demo", "--files", "0"],
+        ["capacity", "--cubs", "0"],
+        ["capacity", "--decluster", "0"],
+        ["chaos", "--load", "0"],
+        ["failover", "--load", "2"],
+        ["failover", "--load", "-1"],
+        ["demo", "--seconds", "-5"],
+        ["demo", "--streams", "-1"],
+        ["metrics", "--seconds", "0"],
+        ["trace", "--seconds", "-1"],
+    ],
+    ids=" ".join,
+)
+def test_bad_numeric_input_exits_2_with_error_line(
+    argv, tmp_path, monkeypatch, capsys
+):
+    # Regression: each of these used to crash with a ValueError
+    # traceback or run to exit 0 on a nonsensical value.
+    monkeypatch.chdir(tmp_path)
+    assert _exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.out + captured.err
+    assert list(tmp_path.iterdir()) == []
+

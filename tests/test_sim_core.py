@@ -283,6 +283,40 @@ class TestHeapCompaction:
         assert sim._cancelled_in_heap == 0
         assert sim.events_dispatched == 0
 
+    def test_tombstone_accounting_tracks_heap_membership(self, sim):
+        """``owner`` names the heap holding an event and the tombstone
+        count covers exactly the cancelled events still in it: a fired
+        or purged event has no owner, and cancelling a fired event
+        leaves the count alone."""
+        fired = sim.call_after(1.0, lambda: None)
+        assert fired.owner is sim
+        sim.run()
+        assert fired.owner is None
+        fired.cancel()
+        assert sim._cancelled_in_heap == 0
+        assert fired.owner is None
+
+        keeper = sim.call_after(5.0, lambda: None)
+        victims = [
+            sim.call_after(10.0, lambda: None)
+            for _ in range(sim_core._COMPACT_MIN_TOMBSTONES + 36)
+        ]
+        for event in victims:
+            event.cancel()
+        in_heap = {id(event) for event in sim._heap}
+        purged = [event for event in victims if id(event) not in in_heap]
+        tombstones = [event for event in victims if id(event) in in_heap]
+        # The (floor + 1)-th cancel outnumbers the live events and
+        # compacts; the cancels after it stay as tombstones.
+        assert len(purged) == sim_core._COMPACT_MIN_TOMBSTONES + 1
+        assert all(event.owner is None for event in purged)
+        assert all(event.owner is sim for event in tombstones)
+        assert sim._cancelled_in_heap == len(tombstones) == 35
+        assert keeper.owner is sim
+        sim.run()
+        assert sim._cancelled_in_heap == 0
+        assert all(event.owner is None for event in victims)
+
     @given(
         st.lists(st.integers(0, 50), min_size=1, max_size=120),
         st.lists(
@@ -305,8 +339,7 @@ class TestBudgetVsTombstones:
     """Audit pin-downs: the ``run(until, max_events)`` budget counts
     dispatched events only.  ``run`` peeks past tombstones before every
     step, so a cancelled event can never consume budget or clock — these
-    tests freeze that property against future kernel refactors (the
-    TombstoneHeap extraction relies on it)."""
+    tests freeze that property against future kernel refactors."""
 
     def test_cancelled_events_do_not_consume_max_events(self, sim):
         fired = []

@@ -38,6 +38,8 @@ class AdmittedStream:
     block_bytes: int
     offset: float
     entry_id: int
+    #: Expected disk seconds per block play time, fixed at admission.
+    read_time: float
 
 
 class MbrAdmission:
@@ -82,10 +84,7 @@ class MbrAdmission:
     # ------------------------------------------------------------------
     def disk_time_committed(self) -> float:
         """Expected disk seconds needed per block play time."""
-        return sum(
-            self.disk_params.expected_read_time(ZONE_OUTER, stream.block_bytes)
-            for stream in self.streams.values()
-        )
+        return sum(stream.read_time for stream in self.streams.values())
 
     def disk_budget(self) -> float:
         """Disk seconds available per block play time, pooled."""
@@ -135,6 +134,7 @@ class MbrAdmission:
             block_bytes=block_bytes,
             offset=offset,
             entry_id=entry.entry_id,
+            read_time=read_time,
         )
         self.streams[viewer_id] = stream
         return stream

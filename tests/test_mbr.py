@@ -236,10 +236,13 @@ class TestMbrService:
         # Force-fill beyond the disk budget by inserting directly.
         from repro.mbr.admission import AdmittedStream
 
+        read_time = admission.disk_params.expected_read_time(
+            ZONE_OUTER, 250_000
+        )
         for index in range(25):  # 25 x ~61 ms >> 1 s of disk time
             entry = admission.network.insert(f"v{index}", 0.0, 1e4)
             admission.streams[f"v{index}"] = AdmittedStream(
-                f"v{index}", 2e6, 250_000, 0.0, entry.entry_id
+                f"v{index}", 2e6, 250_000, 0.0, entry.entry_id, read_time
             )
         service = MbrCubSimulation(sim, admission, rngs)
         service.start()

@@ -96,6 +96,13 @@ class TestFragmentation:
         assert offset is not None
         assert schedule.can_insert(offset, 5e6)
 
+    def test_find_offset_unquantized_is_soonest_after(self, schedule):
+        """Candidates run in ring order from ``after``: the gap just past
+        the entry at 10.0 comes before the one past 1.0 (which wraps)."""
+        schedule.insert("a", 1.0, 10e6)
+        schedule.insert("b", 10.0, 10e6)
+        assert schedule.find_offset(5e6, after=10.5) == 11.0
+
     def test_find_offset_quantized_on_grid(self, schedule):
         offset = schedule.find_offset(5e6, after=0.3, quantum=0.25)
         assert offset is not None

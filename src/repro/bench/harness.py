@@ -16,6 +16,9 @@ writes machine-readable ``BENCH_<name>.json`` files:
   mix, plus — full mode only — a real-socket cluster
   run whose noisy stats land in an ungated ``cluster`` section (see
   :mod:`repro.bench.live`).
+* ``mbr``   — multiple-bitrate admission: a seeded admit/release loop
+  against one ``MbrAdmission`` and its network schedule, with no
+  simulator (see :mod:`repro.bench.mbr`).
 
 Each workload is measured twice: a **clean pass** (no instrumentation)
 for events/sec and sim-seconds-per-wall-second, and an **instrumented
@@ -427,7 +430,7 @@ _WORKLOAD_RUNNERS = {
 #: Workload names in canonical execution order.
 WORKLOADS = (
     "kernel", "fig8", "chaos", "scale", "live", "helpers", "placement",
-    "restripe",
+    "restripe", "mbr",
 )
 
 
@@ -482,7 +485,7 @@ def run_workload(
     """Run one named workload and return its BENCH result dict.
 
     :param name: ``kernel``, ``fig8``, ``chaos``, ``scale``, ``live``,
-        ``helpers``, or ``placement``.
+        ``helpers``, ``placement``, ``restripe`` or ``mbr``.
     :param seed: RNG seed for the run (stamped into the result).
     :param quick: Reduced-scale variant (CI smoke).
     :param with_memory: Skip the instrumented pass when False (faster;
@@ -514,6 +517,10 @@ def run_workload(
         from repro.bench.restripe import run_restripe_workload
 
         return run_restripe_workload(seed=seed, quick=quick)
+    if name == "mbr":
+        from repro.bench.mbr import run_mbr_workload
+
+        return run_mbr_workload(seed=seed, quick=quick)
     if name == "helpers":
         # Imported lazily: the edge tier drags in the helper subsystem.
         from repro.bench.helpers import run_helpers_workload
@@ -724,12 +731,20 @@ def diff_results(
 def summary_lines(result: Dict[str, Any]) -> List[str]:
     """Human-readable one-screen summary of a bench result."""
     perf = result.get("perf", {})
-    out = [
-        f"{result['name']:<8} [{result['mode']}] "
-        f"{perf.get('events', 0):>9d} events in {perf.get('wall_s', 0.0):7.2f}s "
-        f"= {perf.get('events_per_sec', 0.0):>10.0f} ev/s, "
-        f"{perf.get('sim_per_wall', 0.0):6.1f}x real time"
-    ]
+    head = f"{result['name']:<8} [{result['mode']}] "
+    if "events" in perf:
+        head += (
+            f"{perf['events']:>9d} events in {perf.get('wall_s', 0.0):7.2f}s "
+            f"= {perf.get('events_per_sec', 0.0):>10.0f} ev/s, "
+            f"{perf.get('sim_per_wall', 0.0):6.1f}x real time"
+        )
+    else:
+        # Tiers with no simulator (mbr) count calls, not events.
+        head += (
+            f"{perf.get('ops', 0):>9d} ops in {perf.get('wall_s', 0.0):7.2f}s "
+            f"= {perf.get('ops_per_sec', 0.0):>10.0f} ops/s"
+        )
+    out = [head]
     memory = result.get("memory") or {}
     if memory:
         out.append(

@@ -830,7 +830,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--workloads", default=None, metavar="NAMES",
                        help="comma-separated subset of "
                             "kernel,fig8,chaos,scale,live,helpers,"
-                            "placement,restripe "
+                            "placement,restripe,mbr "
                             "(default: all)")
     bench.add_argument("--out-dir", default=".",
                        help="directory for BENCH_<name>.json files")

@@ -1,6 +1,7 @@
 """Tests for the bench harness and the batched-service differential."""
 
 import copy
+import os
 
 import pytest
 
@@ -80,6 +81,41 @@ class TestLiveTier:
         text = "\n".join(lines)
         assert "live" in lines[0]
         assert "binary" in text
+
+
+class TestMbrTier:
+    BASELINE = os.path.join(
+        os.path.dirname(__file__), "..", "benchmarks", "baselines",
+        result_filename("mbr"),
+    )
+
+    @pytest.fixture(scope="class")
+    def mbr_result(self):
+        """Full mode: the committed baseline's run, about a second."""
+        return run_workload("mbr", seed=0)
+
+    def test_decisions_match_the_committed_baseline(self, mbr_result):
+        assert diff_results(mbr_result, load_result(self.BASELINE)) == []
+
+    def test_both_resources_refuse_some_admits(self, mbr_result):
+        counters = mbr_result["counters"]
+        assert counters["mbr.rejected_network"] > 0
+        assert counters["mbr.rejected_disk"] > 0
+        assert counters["mbr.accepted"] + counters["mbr.rejected_network"] + (
+            counters["mbr.rejected_disk"]
+        ) == counters["mbr.admits"]
+
+    def test_admits_per_second_is_not_gated(self, mbr_result):
+        slow = copy.deepcopy(mbr_result)
+        slow["perf"]["admits_per_sec"] /= 100
+        slow["perf"]["ops_per_sec"] /= 100
+        assert "events_per_sec" not in slow["perf"]
+        assert diff_results(slow, mbr_result) == []
+
+    def test_summary_lines_render(self, mbr_result):
+        lines = summary_lines(mbr_result)
+        assert "ops/s" in lines[0]
+        assert "admits/s" in "\n".join(lines)
 
 
 class TestPersistence:

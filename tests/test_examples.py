@@ -30,9 +30,12 @@ ALL_EXAMPLES = [
 
 #: Output each example must produce — a marker from its final section,
 #: so an example that half-runs and exits 0 still fails the smoke test.
+#: The multibitrate marker pins the quantized packing's decisions, so a
+#: placement search that silently changes them fails too.
 EXPECTED_OUTPUT = {
     "quickstart.py": "Invariants hold",
     "capacity_planning.py": "central ctrl",
+    "multibitrate_schedule.py": "quantized : 429 entries",
 }
 
 
